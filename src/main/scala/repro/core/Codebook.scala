@@ -64,55 +64,137 @@ final class ErrorBoundedCodebook(val eps: Double) {
 /** Lloyd's k-means over d-dimensional vectors — the fixed-size vector
   * quantizer used by the equal-budget experiments (Tables 2–4) and by the
   * baselines. Deterministic in (input, k, seed); empty clusters are
-  * reseeded from the point farthest from its centroid. */
+  * reseeded from the point farthest from its centroid.
+  *
+  * The assignment step is an exact pruned nearest-centroid search: the
+  * centroids are kept ordered by coordinate 0, each point sweeps that
+  * order in both directions from its previous centroid (on the first pass,
+  * from its own coordinate 0), and a direction that has passed the point
+  * stops once the coordinate-0 gap alone exceeds the best squared distance
+  * so far. The result (assignments, centroids, iteration count) is
+  * bit-identical to scanning every centroid; DESIGN.md §7.1 gives the
+  * argument. Vectors must be finite and of one dimension
+  * (`IllegalArgumentException` otherwise). */
 object KMeans {
 
-  private def dist2(a: Array[Double], b: Array[Double]): Double = {
+  /** Vectors from outside the program must be finite and of one non-zero
+    * dimension: a NaN would silently join cluster 0, and the ordered sweep
+    * needs ordered keys. */
+  private def requireFinite(vecs: Array[Array[Double]]): Unit = {
+    val dim = vecs(0).length
+    require(dim > 0, "vectors must have at least one dimension")
+    var i = 0
+    while (i < vecs.length) {
+      val v = vecs(i)
+      require(v.length == dim, s"vector $i has dimension ${v.length}, expected $dim")
+      var d = 0
+      while (d < dim) {
+        if (java.lang.Double.isNaN(v(d)) || java.lang.Double.isInfinite(v(d)))
+          throw new IllegalArgumentException(s"vector $i has a non-finite coordinate ${v(d)}")
+        d += 1
+      }
+      i += 1
+    }
+  }
+
+  /** Squared distance from a to the vector stored at flat(off until off + a.length). */
+  private def dist2(a: Array[Double], flat: Array[Double], off: Int): Double = {
     var s = 0.0
     var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
+    while (i < a.length) { val d = a(i) - flat(off + i); s += d * d; i += 1 }
     s
+  }
+
+  /** Insertion sort of centroid ids by coordinate 0. Centroids move little
+    * between iterations, so starting from the previous order this is close
+    * to linear. */
+  private def sortByFirst(order: Array[Int], cents: Array[Array[Double]]): Unit = {
+    var i = 1
+    while (i < order.length) {
+      val c = order(i); val x = cents(c)(0)
+      var j = i - 1
+      while (j >= 0 && cents(order(j))(0) > x) { order(j + 1) = order(j); j -= 1 }
+      order(j + 1) = c
+      i += 1
+    }
   }
 
   def cluster(vecs: Array[Array[Double]], k0: Int, iters: Int = 15, seed: Long = 7
              ): (Array[Array[Double]], Array[Int]) = {
     val n = vecs.length
     if (n == 0) return (Array.empty, Array.empty)
+    requireFinite(vecs)
     val k = math.max(1, math.min(k0, n))
     val dim = vecs(0).length
-    val rng = new scala.util.Random(seed)
-    val cents: Array[Array[Double]] =
-      rng.shuffle(vecs.indices.toVector).take(k).map(i => vecs(i).clone).toArray
+    // Initial centroids: the first k of a seeded shuffle of the points,
+    // drawn as scala.util.Random.shuffle draws it (swap m - 1 with
+    // nextInt(m) for m = n down to 2), on primitive ids.
+    val rng = new java.util.Random(seed)
+    val perm = Array.range(0, n)
+    var m = n
+    while (m >= 2) { val j = rng.nextInt(m); val t = perm(m - 1); perm(m - 1) = perm(j); perm(j) = t; m -= 1 }
+    val cents = Array.tabulate(k)(c => vecs(perm(c)).clone)
     val assign = new Array[Int](n)
     java.util.Arrays.fill(assign, -1)
+    val order = Array.range(0, k) // centroid ids by coordinate 0
+    val posOf = new Array[Int](k) // position of each centroid in `order`
+    val sorted = new Array[Double](k * dim) // centroid order(p) at p * dim
+    val sums = new Array[Double](k * dim) // centroid c's sums at c * dim
+    val cnt = new Array[Int](k)
     var it = 0
     var changed = true
     val far = new Array[Double](n)
     while (it < iters && changed) {
       changed = false
+      sortByFirst(order, cents)
+      var p = 0
+      while (p < k) { posOf(order(p)) = p; System.arraycopy(cents(order(p)), 0, sorted, p * dim, dim); p += 1 }
       var i = 0
       while (i < n) {
+        val v = vecs(i); val x = v(0)
+        // Start at the previous centroid, which is usually still the
+        // nearest; on the first pass, at the first centroid not left of x.
+        var lo = 0
+        if (assign(i) >= 0) lo = posOf(assign(i))
+        else {
+          var hi = k
+          while (lo < hi) { val mid = (lo + hi) >>> 1; if (sorted(mid * dim) < x) lo = mid + 1 else hi = mid }
+        }
+        // Sweep right from lo and left from lo - 1. Once a direction moves
+        // away from x, dist2 >= fl(dx*dx) makes `dx*dx > bd` a stop that
+        // skips only centroids that can neither beat nor tie the best; ties
+        // go to the lowest centroid id, as in a full scan.
         var best = 0; var bd = Double.MaxValue
-        var c = 0
-        while (c < k) { val d = dist2(vecs(i), cents(c)); if (d < bd) { bd = d; best = c }; c += 1 }
+        p = lo
+        while (p < k && { val dx = x - sorted(p * dim); dx > 0 || dx * dx <= bd }) {
+          val c = order(p); val d = dist2(v, sorted, p * dim)
+          if (d < bd || (d == bd && c < best)) { bd = d; best = c }
+          p += 1
+        }
+        p = lo - 1
+        while (p >= 0 && { val dx = x - sorted(p * dim); dx < 0 || dx * dx <= bd }) {
+          val c = order(p); val d = dist2(v, sorted, p * dim)
+          if (d < bd || (d == bd && c < best)) { bd = d; best = c }
+          p -= 1
+        }
         far(i) = bd
         if (assign(i) != best) { assign(i) = best; changed = true }
         i += 1
       }
-      val sums = Array.ofDim[Double](k, dim)
-      val cnt = new Array[Int](k)
+      java.util.Arrays.fill(sums, 0.0)
+      java.util.Arrays.fill(cnt, 0)
       i = 0
       while (i < n) {
         val c = assign(i); cnt(c) += 1
         var d = 0
-        while (d < dim) { sums(c)(d) += vecs(i)(d); d += 1 }
+        while (d < dim) { sums(c * dim + d) += vecs(i)(d); d += 1 }
         i += 1
       }
       var c = 0
       while (c < k) {
         if (cnt(c) > 0) {
           var d = 0
-          while (d < dim) { cents(c)(d) = sums(c)(d) / cnt(c); d += 1 }
+          while (d < dim) { cents(c)(d) = sums(c * dim + d) / cnt(c); d += 1 }
         } else {
           // Reseed an empty cluster from the worst-served point.
           var worst = 0; var wd = -1.0

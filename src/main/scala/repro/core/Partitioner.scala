@@ -8,9 +8,12 @@ import scala.collection.mutable
   * features — the caller chooses the feature vectors). */
 object Partitioner {
 
-  final case class Result(assign: Array[Int], centroids: Array[Array[Double]], rounds: Int)
+  /** `capped` marks a result that stopped at `maxRounds` with a member
+    * still farther than ε_p from its centroid. */
+  final case class Result(assign: Array[Int], centroids: Array[Array[Double]], rounds: Int,
+                          capped: Boolean = false)
 
-  private def dist(a: Array[Double], b: Array[Double]): Double = {
+  private[core] def dist(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0
     var i = 0
     while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
@@ -25,20 +28,25 @@ object Partitioner {
   }
 
   /** q starts at 1 and grows by `a` per round (Lemma 1's schedule) until the
-    * ε_p constraint holds; q = n always satisfies it, so the loop terminates. */
+    * ε_p constraint holds; q = n always satisfies it. The loop stops at
+    * `maxRounds` even if the constraint still fails (so q ≤ 1 + a·(maxRounds − 1));
+    * such a result is flagged `capped`. Vectors must be finite
+    * (`IllegalArgumentException` otherwise). */
   def partitionByThreshold(vecs: Array[Array[Double]], epsP: Double, a: Int = 4,
                            maxRounds: Int = 64, seed: Long = 11): Result = {
     if (vecs.isEmpty) return Result(Array.empty, Array.empty, 0)
     var q = 1
     var round = 1
     var (cents, assign) = KMeans.cluster(vecs, q, seed = seed)
-    while (round < maxRounds && q < vecs.length && maxDeviation(vecs, assign, cents) > epsP) {
+    var dev = maxDeviation(vecs, assign, cents)
+    while (round < maxRounds && q < vecs.length && dev > epsP) {
       q = math.min(vecs.length, q + a)
       round += 1
       val r = KMeans.cluster(vecs, q, seed = seed + round)
       cents = r._1; assign = r._2
+      dev = maxDeviation(vecs, assign, cents)
     }
-    Result(assign, cents, round)
+    Result(assign, cents, round, capped = dev > epsP)
   }
 }
 
@@ -46,31 +54,58 @@ object Partitioner {
   * across timestamps: points keep their previous partition; partitions
   * violating ε_p are re-partitioned from scratch over their own members;
   * partitions whose centroids come within ε_p are merged, each at most
-  * once per update (the paper's fragmentation guard). */
+  * once per update (the paper's fragmentation guard). A new trajectory
+  * joins the nearest live partition, the first one listed on a tie. */
 final class IncrementalPartitioner(epsP: Double, growth: Int = 4, seed: Long = 13) {
+  import Partitioner.dist
+
   private val assignOf = mutable.HashMap.empty[Int, Int]   // trajId -> partition id
-  private var centroidOf = Map.empty[Int, Array[Double]]   // partition id -> centroid
+  // Partitions alive after the last update: ids and centroids by slot, and
+  // the slot of each id.
+  private var liveIds = Array.emptyIntArray
+  private var liveCents = Array.empty[Array[Double]]
+  private val slotOf = mutable.HashMap.empty[Int, Int]
   private var nextPart = 0
   var splits = 0
   var merges = 0
+  /** Re-partitions that stopped at `partitionByThreshold`'s round cap and
+    * so kept partitions wider than ε_p (DESIGN.md §7.3). */
+  var cappedSplits = 0
   private var round = 0
 
-  def numPartitions: Int = centroidOf.size
+  def numPartitions: Int = liveIds.length
 
-  private def dist(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0
+  /** Mean of vecs(idx(from)), ..., vecs(idx(until - 1)), summed in that order. */
+  private def mean(vecs: Array[Array[Double]], idx: Array[Int], from: Int, until: Int): Array[Double] = {
+    val dim = vecs(idx(from)).length
+    val c = new Array[Double](dim)
+    var j = from
+    while (j < until) { val v = vecs(idx(j)); var i = 0; while (i < dim) { c(i) += v(i); i += 1 }; j += 1 }
     var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    math.sqrt(s)
+    while (i < dim) { c(i) /= (until - from); i += 1 }
+    c
   }
 
-  private def centroid(vecs: Seq[Array[Double]]): Array[Double] = {
-    val dim = vecs.head.length
-    val c = new Array[Double](dim)
-    vecs.foreach { v => var i = 0; while (i < dim) { c(i) += v(i); i += 1 } }
+  /** Stable counting sort of 0 until keys.length by key (keys in 0 until m):
+    * bucket b holds idx(start(b) until start(b + 1)), in increasing order. */
+  private def buckets(keys: Array[Int], m: Int): (Array[Int], Array[Int]) = {
+    val start = new Array[Int](m + 1)
+    keys.foreach(k => start(k + 1) += 1)
+    var b = 0
+    while (b < m) { start(b + 1) += start(b); b += 1 }
+    val fill = start.clone
+    val idx = new Array[Int](keys.length)
     var i = 0
-    while (i < dim) { c(i) /= vecs.length; i += 1 }
-    c
+    while (i < keys.length) { idx(fill(keys(i))) = i; fill(keys(i)) += 1; i += 1 }
+    (start, idx)
+  }
+
+  /** Slot of the live centroid nearest to v; ties go to the lowest slot. */
+  private def nearestLive(v: Array[Double]): Int = {
+    var best = 0; var bd = Double.MaxValue
+    var s = 0
+    while (s < liveIds.length) { val d = dist(v, liveCents(s)); if (d < bd) { bd = d; best = s }; s += 1 }
+    best
   }
 
   /** Assign each (id, vec) to a partition; returns partition ids aligned
@@ -79,77 +114,127 @@ final class IncrementalPartitioner(epsP: Double, growth: Int = 4, seed: Long = 1
     round += 1
     require(ids.length == vecs.length)
     if (ids.isEmpty) return Array.empty
+    val n = ids.length
     // Step 1: carry over previous assignments; new trajectories join the
-    // nearest existing partition (or seed the first one).
-    val members = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Int]] // part -> input idx
+    // nearest live partition (or seed the first one). Groups are numbered
+    // in order of first appearance.
+    if (liveIds.isEmpty) {
+      liveIds = Array(nextPart); liveCents = Array(vecs(0).clone); slotOf(nextPart) = 0; nextPart += 1
+    }
+    val groupOfSlot = Array.fill(liveIds.length)(-1)
+    val groupSlot = new Array[Int](liveIds.length)
+    var groups = 0
+    val grp = new Array[Int](n)
     var i = 0
-    while (i < ids.length) {
-      val prev = assignOf.get(ids(i)).filter(centroidOf.contains)
-      val part = prev.getOrElse {
-        if (centroidOf.isEmpty) { val p = nextPart; nextPart += 1; centroidOf += p -> vecs(i).clone; p }
-        else centroidOf.minBy { case (_, c) => dist(vecs(i), c) }._1
-      }
-      members.getOrElseUpdate(part, mutable.ArrayBuffer.empty) += i
+    while (i < n) {
+      val prev = slotOf.getOrElse(assignOf.getOrElse(ids(i), -1), -1)
+      val s = if (prev >= 0) prev else nearestLive(vecs(i))
+      if (groupOfSlot(s) < 0) { groupOfSlot(s) = groups; groupSlot(groups) = s; groups += 1 }
+      grp(i) = groupOfSlot(s)
       i += 1
     }
     // Step 2: recompute centroids; re-partition any group violating ε_p.
-    val rebuilt = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    for ((part, idxs) <- members) {
-      val vs = idxs.map(vecs(_)).toArray
-      val c = centroid(vs.toSeq)
-      val worst = vs.map(dist(_, c)).max
+    // Each resulting partition gets a rebuilt index r, in the order the
+    // merge step visits them; new ids follow first appearance.
+    val (gStart, gIdx) = buckets(grp, groups)
+    val rid = new Array[Int](n)
+    val rcent = new Array[Array[Double]](n)
+    val rOf = new Array[Int](n) // rebuilt index of each point
+    var m = 0
+    var g = 0
+    while (g < groups) {
+      val from = gStart(g); val until = gStart(g + 1)
+      val c = mean(vecs, gIdx, from, until)
+      var worst = 0.0
+      var j = from
+      while (j < until) { worst = math.max(worst, dist(vecs(gIdx(j)), c)); j += 1 }
       if (worst <= epsP) {
-        centroidOf += part -> c
-        rebuilt.getOrElseUpdate(part, mutable.ArrayBuffer.empty) ++= idxs
+        rid(m) = liveIds(groupSlot(g)); rcent(m) = c
+        j = from
+        while (j < until) { rOf(gIdx(j)) = m; j += 1 }
+        m += 1
       } else {
+        val vs = Array.tabulate(until - from)(j => vecs(gIdx(from + j)))
         val r = Partitioner.partitionByThreshold(vs, epsP, growth, seed = seed + round)
-        val localParts = r.assign.distinct
-        splits += localParts.length - 1
-        val remap = localParts.map { lp =>
-          val np = nextPart; nextPart += 1
-          lp -> np
-        }.toMap
-        centroidOf -= part
-        for ((lp, p) <- remap) centroidOf += p -> r.centroids(lp)
-        var j = 0
-        while (j < idxs.length) {
-          rebuilt.getOrElseUpdate(remap(r.assign(j)), mutable.ArrayBuffer.empty) += idxs(j)
+        val local = Array.fill(r.centroids.length)(-1)
+        val m0 = m
+        j = 0
+        while (j < vs.length) {
+          val lp = r.assign(j)
+          if (local(lp) < 0) { local(lp) = m; rid(m) = nextPart; nextPart += 1; rcent(m) = r.centroids(lp); m += 1 }
+          rOf(gIdx(from + j)) = local(lp)
           j += 1
         }
+        splits += m - m0 - 1
+        if (r.capped) cappedSplits += 1
       }
+      g += 1
     }
-    // Step 3: merge centroids within ε_p, each partition at most once.
-    val alive = rebuilt.keys.toArray
-    val merged = mutable.HashSet.empty[Int]
+    // Step 3: merge centroids within ε_p, each partition at most once:
+    // a merges with the first unmerged b > a within ε_p. Centroids stay
+    // fixed during the loop (merged pairs are recomputed after it), so b is
+    // searched by sweeping outward from a through the coordinate-0 order of
+    // the partitions not yet visited or merged; sqrt(gap²) never exceeds
+    // `dist`, so a sweep stops only past partitions that cannot qualify
+    // (DESIGN.md §7.2).
+    val byX = Array.range(0, m).sortBy(r => rcent(r)(0))(Ordering.Double.TotalOrdering)
+    val posX = new Array[Int](m)
+    var p = 0
+    while (p < m) { posX(byX(p)) = p; p += 1 }
+    val next = Array.range(1, m + 1) // linked list over positions; m and -1 end it
+    val prev = Array.range(-1, m - 1)
+    def unlink(p: Int): Unit = {
+      if (prev(p) >= 0) next(prev(p)) = next(p)
+      if (next(p) < m) prev(next(p)) = prev(p)
+    }
+    def beyond(ca: Array[Double], cb: Array[Double]): Boolean = { val d = ca(0) - cb(0); math.sqrt(d * d) > epsP }
+    val into = Array.range(0, m) // the partition each one ends in
+    val partner = Array.fill(m)(-1)
     var a = 0
-    while (a < alive.length) {
-      if (!merged.contains(alive(a))) {
-        var b = a + 1
-        var done = false
-        while (b < alive.length && !done) {
-          if (!merged.contains(alive(b)) &&
-              dist(centroidOf(alive(a)), centroidOf(alive(b))) <= epsP) {
-            rebuilt(alive(a)) ++= rebuilt(alive(b))
-            rebuilt -= alive(b)
-            centroidOf -= alive(b)
-            centroidOf += alive(a) -> centroid(rebuilt(alive(a)).map(vecs(_)).toSeq)
-            merged += alive(a); merged += alive(b)
-            merges += 1
-            done = true // this partition has merged once already
-          }
-          b += 1
+    while (a < m) {
+      if (into(a) == a) { // not merged into an earlier partition
+        val ca = rcent(a)
+        unlink(posX(a)) // its own links still lead to its neighbours
+        var b = m
+        p = next(posX(a))
+        while (p < m && !beyond(ca, rcent(byX(p)))) {
+          if (byX(p) < b && dist(ca, rcent(byX(p))) <= epsP) b = byX(p)
+          p = next(p)
+        }
+        p = prev(posX(a))
+        while (p >= 0 && !beyond(ca, rcent(byX(p)))) {
+          if (byX(p) < b && dist(ca, rcent(byX(p))) <= epsP) b = byX(p)
+          p = prev(p)
+        }
+        if (b < m) {
+          unlink(posX(b))
+          into(b) = a; partner(a) = b
+          merges += 1
         }
       }
       a += 1
     }
-    // Commit assignments.
-    val out = new Array[Int](ids.length)
-    for ((part, idxs) <- rebuilt; idx <- idxs) {
-      out(idx) = part
-      assignOf(ids(idx)) = part
+    val (rStart, rIdx) = buckets(rOf, m)
+    a = 0
+    while (a < m) {
+      val b = partner(a)
+      if (b >= 0) {
+        val both = rIdx.slice(rStart(a), rStart(a + 1)) ++ rIdx.slice(rStart(b), rStart(b + 1))
+        rcent(a) = mean(vecs, both, 0, both.length)
+      }
+      a += 1
     }
-    // Drop centroids with no current members so they don't attract strays.
-    centroidOf = centroidOf.filter { case (p, _) => rebuilt.contains(p) }
+    // Commit assignments; partitions with no current members are dropped
+    // so they don't attract strays.
+    val out = new Array[Int](n)
+    i = 0
+    while (i < n) { out(i) = rid(into(rOf(i))); assignOf(ids(i)) = out(i); i += 1 }
+    val kept = (0 until m).filter(r => into(r) == r).toArray
+    liveIds = kept.map(rid)
+    liveCents = kept.map(rcent)
+    slotOf.clear()
+    var s = 0
+    while (s < liveIds.length) { slotOf(liveIds(s)) = s; s += 1 }
     out
   }
 }

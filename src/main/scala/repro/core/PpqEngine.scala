@@ -74,28 +74,38 @@ final class PredictiveFrontend(val params: PpqParams) {
           Predictor.arFeatures(raw.getOrElse(id, mutable.ArrayBuffer.empty[Pt]), params.k, params.arWindow)
         })
     }
-    val coeffs = mutable.HashMap.empty[Int, Array[Double]]
-    if (params.predict) {
-      val byPart = points.indices.groupBy(assign(_))
-      for ((p, idxs) <- byPart) {
-        val ready = idxs.filter(i => histOf(points(i)._1).length == params.k)
-        coeffs(p) =
-          if (ready.nonEmpty)
-            Predictor.fit(ready.map(i => histOf(points(i)._1)).toArray,
-                          ready.map(i => points(i)._2).toArray, params.k)
+    // Visit points grouped by partition, in increasing index within each
+    // group: the least-squares sums run in that order.
+    val n = points.length
+    val byPart = Array.tabulate(n)(i => (assign(i).toLong << 32) | i)
+    java.util.Arrays.sort(byPart)
+    val coeffs = Map.newBuilder[Int, Array[Double]]
+    val preds = new Array[Pt](n)
+    var numParts = 0
+    var from = 0
+    while (from < n) {
+      val part = (byPart(from) >>> 32).toInt
+      var until = from
+      while (until < n && (byPart(until) >>> 32).toInt == part) until += 1
+      if (params.predict) {
+        val members = Array.tabulate(until - from)(j => byPart(from + j).toInt)
+        val hs = members.map(i => histOf(points(i)._1))
+        val ready = members.indices.filter(j => hs(j).length == params.k).toArray
+        val c =
+          if (ready.nonEmpty) Predictor.fit(ready.map(j => hs(j)), ready.map(j => points(members(j))._2), params.k)
           else new Array[Double](params.k)
+        coeffs += part -> c
+        ready.foreach(j => preds(members(j)) = Predictor.predict(c, hs(j)))
       }
+      numParts += 1
+      from = until
     }
-    val preds = new Array[Pt](points.length)
     var i = 0
-    while (i < points.length) {
-      val h = histOf(points(i)._1)
-      preds(i) =
-        if (params.predict && h.length == params.k) Predictor.predict(coeffs(assign(i)), h)
-        else Pt(0.0, 0.0) // P_j[t] = 0 for t ≤ k (Alg. 1)
+    while (i < n) {
+      if (preds(i) == null) preds(i) = Pt(0.0, 0.0) // P_j[t] = 0 for t ≤ k (Alg. 1)
       i += 1
     }
-    Plan(assign, coeffs.toMap, preds, assign.distinct.length)
+    Plan(assign, coeffs.result(), preds, numParts)
   }
 
   /** Record this step's raw inputs and codebook reconstructions — the

@@ -111,4 +111,13 @@ class CodebookSpec extends AnyFunSuite {
     assert(cents.length == 2)
     assert(assign.take(3).toSet.size == 1 && assign.drop(3).toSet.size == 1)
   }
+
+  test("KMeans rejects NaN and infinite vectors") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val vecs = Array(Array(0.0, 0.0), Array(1.0, bad), Array(2.0, 2.0))
+      val e = intercept[IllegalArgumentException](KMeans.cluster(vecs, 2))
+      assert(e.getMessage.contains("non-finite"))
+    }
+    intercept[IllegalArgumentException](KMeans.cluster1D(Array(0.0, Double.NaN), 1))
+  }
 }

@@ -1,6 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.TrajGen
+import repro.eval.EvalConfig
 import scala.util.Random
 
 class PartitionerSpec extends AnyFunSuite {
@@ -105,4 +107,50 @@ class PartitionerSpec extends AnyFunSuite {
         }
       }
     }
+
+  test("partitionByThreshold rejects NaN and infinite vectors") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity)) {
+      val vecs = Array(Array(0.0, 0.0), Array(bad, 1.0))
+      intercept[IllegalArgumentException](Partitioner.partitionByThreshold(vecs, 0.5))
+    }
+  }
+
+  // 400 points 0.25 apart need far more than the 1 + 4·63 = 253 partitions
+  // the round cap allows at epsP = 0.05.
+  private val line = Array.tabulate(400)(i => Array(i * 0.25))
+
+  test("partitionByThreshold flags a result stopped at the round cap") {
+    val capped = Partitioner.partitionByThreshold(line, 0.05)
+    assert(capped.rounds == 64 && capped.capped)
+    assert(capped.centroids.length == 253)
+    assert(Partitioner.maxDeviation(line, capped.assign, capped.centroids) > 0.05)
+    val met = Partitioner.partitionByThreshold(line, 30.0)
+    assert(!met.capped && Partitioner.maxDeviation(line, met.assign, met.centroids) <= 30.0)
+  }
+
+  test("incremental: a re-partition stopped at the round cap is counted") {
+    val ip = new IncrementalPartitioner(0.05)
+    val ids = line.indices.toArray
+    ip.update(ids, Array.fill(line.length)(Array(0.0)))
+    assert(ip.cappedSplits == 0 && ip.splits == 0)
+    val a = ip.update(ids, line)
+    assert(ip.cappedSplits == 1)
+    assert(ip.splits == a.distinct.length + ip.merges - 1)
+  }
+
+  // The autocorrelation features of Porto-like seed 1010 (the first dataset
+  // of the benchmark's pool for seed 1) at t = 5, the first step with
+  // non-zero AR features: one partition of 1,600 cannot be split within
+  // epsP in 64 rounds. Lemma 1 assumes the constraint always holds.
+  test("incremental: Porto-like seed 1010 reaches the round cap at t = 5") {
+    val data = TrajGen.portoLike(1600, 50, 1010)
+    val params = EvalConfig.porto.params(PartitionMode.Autocorr, useCqc = true)
+    val ip = new IncrementalPartitioner(params.epsP, params.partGrowth, params.seed)
+    val ids = Array.range(0, data.numTrajs)
+    for (t <- 1 to 5) {
+      val feats = ids.map(i => Predictor.arFeatures((1 until t).map(data.point(i, _)), params.k, params.arWindow))
+      ip.update(ids, feats)
+      assert(ip.cappedSplits == (if (t < 5) 0 else 1), s"t=$t")
+    }
+  }
 }
