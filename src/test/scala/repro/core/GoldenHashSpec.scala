@@ -4,7 +4,7 @@ import java.nio.ByteBuffer
 import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{TrajDataset, TrajGen}
-import repro.eval.EvalConfig
+import repro.eval.{EvalConfig, MethodRun, PerTimestep}
 import repro.index.Pi
 
 /** Pins the encoder's exact output for fixed seeds. Any change to
@@ -40,8 +40,38 @@ class GoldenHashSpec extends AnyFunSuite {
     f.hex
   }
 
+  /** A Table 2/4 pipeline's output: reconstructions sorted by (id, t), then
+    * the per-timestamp codeword counts sorted by t. */
+  private def methodRun(run: MethodRun): String = {
+    val f = new Fingerprint
+    for (((id, t), p) <- run.recon.toSeq.sortBy(_._1)) { f.long(id); f.long(t); f.pt(p) }
+    for ((t, v) <- run.vPerT.toSeq.sorted) { f.long(t); f.long(v) }
+    f.hex
+  }
+
   private val porto = EvalConfig.porto
   private val geolife = EvalConfig.geolife
+
+  /** The five PPQ rows of Tables 2 and 4: partition mode and CQC on/off. */
+  private val ppqModes: Map[String, (PartitionMode, Boolean)] = Map(
+    "PPQ-A" -> (PartitionMode.Autocorr, true),
+    "PPQ-A-basic" -> (PartitionMode.Autocorr, false),
+    "PPQ-S" -> (PartitionMode.Spatial, true),
+    "PPQ-S-basic" -> (PartitionMode.Spatial, false),
+    "E-PQ" -> (PartitionMode.Single, false))
+
+  private def bounded(method: String, data: => TrajDataset, cfg: EvalConfig): () => String = {
+    val (mode, cqc) = ppqModes(method)
+    () => methodRun(PerTimestep.runPpqBounded(method, data, mode, cqc, cfg))
+  }
+
+  private def fixed(method: String, data: => TrajDataset, v: Int, cfg: EvalConfig): () => String = {
+    val (mode, cqc) = ppqModes(method)
+    () => methodRun(PerTimestep.runPpqFixed(method, data, mode, cqc, v, cfg))
+  }
+
+  private def portoSmall = TrajGen.portoLike(200, 20, 11)
+  private def geolifeSmall = TrajGen.geolifeLike(100, 30, 44)
 
   private val cases: Seq[(String, () => String, String)] = Seq(
     ("PPQ-A porto 400x30 seed 5",
@@ -72,7 +102,27 @@ class GoldenHashSpec extends AnyFunSuite {
         }
         f.hex
       },
-      "544de808b1ec1bcf"))
+      "544de808b1ec1bcf"),
+    ("runPpqBounded PPQ-A porto 200x20 seed 11", bounded("PPQ-A", portoSmall, porto), "2641d89ae06d08df"),
+    ("runPpqBounded PPQ-A-basic porto 200x20 seed 11", bounded("PPQ-A-basic", portoSmall, porto), "fd77da644e1aaa9d"),
+    ("runPpqBounded PPQ-S porto 200x20 seed 11", bounded("PPQ-S", portoSmall, porto), "81b0eda2e282e378"),
+    ("runPpqBounded PPQ-S-basic porto 200x20 seed 11", bounded("PPQ-S-basic", portoSmall, porto), "d5b21dc45ad2e771"),
+    ("runPpqBounded E-PQ porto 200x20 seed 11", bounded("E-PQ", portoSmall, porto), "498aa3ca3204070d"),
+    ("runPpqBounded PPQ-A geolife 100x30 seed 44", bounded("PPQ-A", geolifeSmall, geolife), "b1a9435dfc8feaa6"),
+    ("runPpqBounded PPQ-A-basic geolife 100x30 seed 44", bounded("PPQ-A-basic", geolifeSmall, geolife), "26ea2b7d07df9a73"),
+    ("runPpqBounded PPQ-S geolife 100x30 seed 44", bounded("PPQ-S", geolifeSmall, geolife), "ccc7babd124c3892"),
+    ("runPpqBounded PPQ-S-basic geolife 100x30 seed 44", bounded("PPQ-S-basic", geolifeSmall, geolife), "5b361b7813381ff0"),
+    ("runPpqBounded E-PQ geolife 100x30 seed 44", bounded("E-PQ", geolifeSmall, geolife), "3a74963bac423b8a"),
+    ("runPpqFixed v=64 PPQ-A porto 200x20 seed 11", fixed("PPQ-A", portoSmall, 64, porto), "616c2762f63b651e"),
+    ("runPpqFixed v=64 PPQ-A-basic porto 200x20 seed 11", fixed("PPQ-A-basic", portoSmall, 64, porto), "8f2d50cd2c93ef9b"),
+    ("runPpqFixed v=64 PPQ-S porto 200x20 seed 11", fixed("PPQ-S", portoSmall, 64, porto), "3dbf66b9d2bcc3aa"),
+    ("runPpqFixed v=64 PPQ-S-basic porto 200x20 seed 11", fixed("PPQ-S-basic", portoSmall, 64, porto), "2280255a5cd650f9"),
+    ("runPpqFixed v=64 E-PQ porto 200x20 seed 11", fixed("E-PQ", portoSmall, 64, porto), "925a7dc051e58ac3"),
+    ("runPpqFixed v=64 PPQ-A geolife 100x30 seed 44", fixed("PPQ-A", geolifeSmall, 64, geolife), "a7776f00ebfd674d"),
+    ("runPpqFixed v=64 PPQ-A-basic geolife 100x30 seed 44", fixed("PPQ-A-basic", geolifeSmall, 64, geolife), "bea94cfe370516c3"),
+    ("runPpqFixed v=64 PPQ-S geolife 100x30 seed 44", fixed("PPQ-S", geolifeSmall, 64, geolife), "22d549dad1d2b950"),
+    ("runPpqFixed v=64 PPQ-S-basic geolife 100x30 seed 44", fixed("PPQ-S-basic", geolifeSmall, 64, geolife), "7f0d8829b3fa6c8c"),
+    ("runPpqFixed v=64 E-PQ geolife 100x30 seed 44", fixed("E-PQ", geolifeSmall, 64, geolife), "4c2a1d320497350f"))
 
   for ((name, run, expected) <- cases)
     test(s"golden hash: $name") {
