@@ -38,20 +38,29 @@ final case class CodedPoint(
 final case class StepSummary(t: Int, coeffs: Map[Int, Array[Double]],
                              assign: Map[Int, Int], numParts: Int)
 
-/** The shared predictive front half of PPQ: incremental partitioning,
-  * per-partition least-squares coefficients, prediction from the last k
-  * *reconstructed* points, and history upkeep. Both the error-bounded
-  * encoder and the equal-budget evaluation pipelines (Tables 2–4) run on
-  * top of this so they share identical prediction semantics. */
-final class PredictiveFrontend(val params: PpqParams) {
-  private val hist = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]] // reconstructed, oldest→newest
-  private val raw = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]]  // raw, for AR features
-  private val partitioner = new IncrementalPartitioner(params.epsP, params.partGrowth, params.seed)
+/** How the encoder builds its codebook C. Alg. 1 grows one error-bounded
+  * codebook over the whole stream; the equal-budget protocol of Tables 2–4
+  * (§6.2.1) learns a codebook per timestamp instead. */
+sealed trait CodebookPolicy extends Serializable
+object CodebookPolicy {
+  /** One `ErrorBoundedCodebook` for the whole stream (Alg. 1, Tables 5–6). */
+  case object Global extends CodebookPolicy
+  /** A fresh `ErrorBoundedCodebook` at each timestamp (Table 2). */
+  case object PerStep extends CodebookPolicy
+  /** A k-means codebook of `v` words over each timestamp's errors (Table 4). */
+  final case class KMeansPerStep(v: Int) extends CodebookPolicy
+}
 
-  final case class Plan(assign: Array[Int], coeffs: Map[Int, Array[Double]], preds: Array[Pt], numParts: Int)
+/** The last k reconstructed points of each trajectory and the prediction
+  * rule over them: Eq. 2 predicts from the reconstructions T̂, never from
+  * the raw points. The encoder's frontend and the decoder each keep one
+  * and feed it the same reconstructions, so both predict the same point. */
+final class ReconHistory(params: PpqParams) {
+  private val hist = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]] // oldest→newest
 
-  /** Last k reconstructed points of `id`, most recent first ([t-1, t-2, ...]). */
-  def histOf(id: Int): Array[Pt] =
+  /** Last k reconstructed points of `id`, most recent first ([t-1, t-2, ...]),
+    * or empty while fewer than k are known. */
+  def of(id: Int): Array[Pt] =
     hist.get(id) match {
       case Some(b) if b.length >= params.k =>
         val out = new Array[Pt](params.k)
@@ -60,6 +69,32 @@ final class PredictiveFrontend(val params: PpqParams) {
         out
       case _ => Array.empty
     }
+
+  /** Whether prediction is on and `h` (from `of`) holds k points. */
+  def ready(h: Array[Pt]): Boolean = params.predict && h.length == params.k
+
+  /** P_j[t] applied to `h`, or 0 when `h` is not ready (t ≤ k in Alg. 1).
+    * `coeffs` is read only when `h` is ready: without prediction a step
+    * stores no coefficients. */
+  def predict(coeffs: => Array[Double], h: Array[Pt]): Pt =
+    if (ready(h)) Predictor.predict(coeffs, h) else Pt(0.0, 0.0)
+
+  def add(id: Int, recon: Pt): Unit = {
+    val b = hist.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
+    b += recon
+    if (b.length > params.k + 2) b.remove(0)
+  }
+}
+
+/** The shared predictive front half of PPQ: incremental partitioning,
+  * per-partition least-squares coefficients, prediction from the last k
+  * *reconstructed* points, and history upkeep. */
+final class PredictiveFrontend(val params: PpqParams) {
+  private val history = new ReconHistory(params)
+  private val raw = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]]  // raw, for AR features
+  private val partitioner = new IncrementalPartitioner(params.epsP, params.partGrowth, params.seed)
+
+  final case class Plan(assign: Array[Int], coeffs: Map[Int, Array[Double]], preds: Array[Pt], numParts: Int)
 
   def numPartitions: Int = partitioner.numPartitions
 
@@ -80,7 +115,7 @@ final class PredictiveFrontend(val params: PpqParams) {
     val byPart = Array.tabulate(n)(i => (assign(i).toLong << 32) | i)
     java.util.Arrays.sort(byPart)
     val coeffs = Map.newBuilder[Int, Array[Double]]
-    val preds = new Array[Pt](n)
+    val preds = Array.fill(n)(Pt(0.0, 0.0))
     var numParts = 0
     var from = 0
     while (from < n) {
@@ -89,21 +124,16 @@ final class PredictiveFrontend(val params: PpqParams) {
       while (until < n && (byPart(until) >>> 32).toInt == part) until += 1
       if (params.predict) {
         val members = Array.tabulate(until - from)(j => byPart(from + j).toInt)
-        val hs = members.map(i => histOf(points(i)._1))
-        val ready = members.indices.filter(j => hs(j).length == params.k).toArray
+        val hs = members.map(i => history.of(points(i)._1))
+        val ready = members.indices.filter(j => history.ready(hs(j))).toArray
         val c =
           if (ready.nonEmpty) Predictor.fit(ready.map(j => hs(j)), ready.map(j => points(members(j))._2), params.k)
           else new Array[Double](params.k)
         coeffs += part -> c
-        ready.foreach(j => preds(members(j)) = Predictor.predict(c, hs(j)))
+        members.indices.foreach(j => preds(members(j)) = history.predict(c, hs(j)))
       }
       numParts += 1
       from = until
-    }
-    var i = 0
-    while (i < n) {
-      if (preds(i) == null) preds(i) = Pt(0.0, 0.0) // P_j[t] = 0 for t ≤ k (Alg. 1)
-      i += 1
     }
     Plan(assign, coeffs.result(), preds, numParts)
   }
@@ -114,9 +144,7 @@ final class PredictiveFrontend(val params: PpqParams) {
     var i = 0
     while (i < points.length) {
       val (id, rp) = points(i)
-      val hb = hist.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
-      hb += recons(i)
-      if (hb.length > params.k + 2) hb.remove(0)
+      history.add(id, recons(i))
       val rb = raw.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
       rb += rp
       if (rb.length > params.arWindow + params.k + 2) rb.remove(0)
@@ -125,13 +153,15 @@ final class PredictiveFrontend(val params: PpqParams) {
   }
 }
 
-/** Algorithm 1 + §3.2: the online error-bounded partition-wise predictive
-  * quantizer, with CQC refinement when g_s is set. Feed timestamps in
-  * increasing order via `step`; the summary ({P_j[t]}, C, {b_i^t}, CQC) is
-  * exposed through `codebook`, `steps` and the returned codes, and
-  * `PpqDecoder.reconstruct` replays it byte-exactly. */
-final class PpqEncoder(val params: PpqParams) {
-  val codebook = new ErrorBoundedCodebook(params.eps1)
+/** Algorithm 1 + §3.2: the online partition-wise predictive quantizer,
+  * with CQC refinement when g_s is set. Feed timestamps in increasing order
+  * via `step`. `policy` chooses how C is built; under the default `Global`
+  * policy the summary ({P_j[t]}, C, {b_i^t}, CQC) is exposed through
+  * `codebook`, `steps` and the returned codes, and
+  * `PpqDecoder.reconstruct` replays it byte-exactly. The per-step policies
+  * serve the equal-budget Tables 2 and 4. */
+final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookPolicy.Global) {
+  private var cb = new ErrorBoundedCodebook(params.eps1)
   val quadtree: Option[CoordinateQuadtree] =
     params.gs.map(g => new CoordinateQuadtree(Cqc.sideFor(params.eps1, g)))
   private val frontend = new PredictiveFrontend(params)
@@ -142,44 +172,74 @@ final class PpqEncoder(val params: PpqParams) {
 
   def numPartitions: Int = frontend.numPartitions
 
+  /** The error-bounded codebook C: the whole stream's under `Global`, the
+    * last step's under `PerStep`. A k-means policy keeps none. */
+  def codebook: ErrorBoundedCodebook = policy match {
+    case CodebookPolicy.KMeansPerStep(_) =>
+      throw new UnsupportedOperationException("a KMeansPerStep encoder keeps no error-bounded codebook")
+    case _ => cb
+  }
+
   def step(t: Int, points: Array[(Int, Pt)]): Array[CodedPoint] = {
-    val plan = frontend.plan(t, points)
-    val out = new Array[CodedPoint](points.length)
-    val recons = new Array[Pt](points.length)
+    val n = points.length
     var i = 0
-    while (i < points.length) {
+    while (i < n) {
+      val p = points(i)._2
+      if (!(java.lang.Double.isFinite(p.x) && java.lang.Double.isFinite(p.y)))
+        throw new IllegalArgumentException(s"trajectory ${points(i)._1} at t=$t has a non-finite point $p")
+      i += 1
+    }
+    val plan = frontend.plan(t, points)
+    val (bs, word) = quantize(t, Array.tabulate(n)(i => points(i)._2 - plan.preds(i)))
+    val out = new Array[CodedPoint](n)
+    val recons = new Array[Pt](n)
+    i = 0
+    while (i < n) {
       val (id, rp) = points(i)
-      val e = rp - plan.preds(i)
-      val b = codebook.quantize(e)
-      val recon = plan.preds(i) + codebook(b)
+      val recon = plan.preds(i) + word(bs(i))
       out(i) = quadtree match {
         case Some(qt) =>
           val g = params.gs.get
           val code = Cqc.encode(rp, recon, params.eps1, g, qt)
           cqcBitsTotal += code.len
-          CodedPoint(id, t, plan.assign(i), b, code.bits, code.len, recon,
+          CodedPoint(id, t, plan.assign(i), bs(i), code.bits, code.len, recon,
                      Cqc.refine(recon, code, params.eps1, g, qt))
         case None =>
-          CodedPoint(id, t, plan.assign(i), b, 0L, 0, recon, recon)
+          CodedPoint(id, t, plan.assign(i), bs(i), 0L, 0, recon, recon)
       }
       recons(i) = recon
       i += 1
     }
     frontend.commit(points, recons)
-    nPoints += points.length
-    assignBitsTotal += points.length.toLong * MathUtil.ceilLog2(math.max(plan.numParts, 2))
+    nPoints += n
+    assignBitsTotal += n.toLong * MathUtil.ceilLog2(math.max(plan.numParts, 2))
     steps += StepSummary(t, plan.coeffs, points.map(_._1).zip(plan.assign).toMap, plan.numParts)
     out
   }
 
+  /** Codeword index b of each prediction error, and the codewords b indexes. */
+  private def quantize(t: Int, errors: Array[Pt]): (Array[Int], Int => Pt) = policy match {
+    case CodebookPolicy.KMeansPerStep(v) =>
+      val (words, assign) = KMeans.clusterPts(errors, v, iters = 10, seed = params.seed + t)
+      (assign, words(_))
+    case _ =>
+      if (policy == CodebookPolicy.PerStep) cb = new ErrorBoundedCodebook(params.eps1)
+      (errors.map(cb.quantize), cb(_))
+  }
+
   /** Size of the summary ({P_j[t]}, C, {b_i^t}, CQC, assignments) in bits —
-    * the numerator-side of the paper's compression-ratio measure. */
-  def summaryBits: Long =
-    codebook.size.toLong * 2 * 64 +
-      nPoints * MathUtil.ceilLog2(math.max(codebook.size, 2)) +
+    * the numerator-side of the paper's compression-ratio measure. It counts
+    * one codebook, so it is defined under the `Global` policy only; the
+    * per-step policies serve Tables 2 and 4, which do not ask for it. */
+  def summaryBits: Long = {
+    if (policy != CodebookPolicy.Global)
+      throw new UnsupportedOperationException(s"summaryBits is defined for the Global policy, not $policy")
+    cb.size.toLong * 2 * 64 +
+      nPoints * MathUtil.ceilLog2(math.max(cb.size, 2)) +
       cqcBitsTotal +
       steps.iterator.map(s => s.coeffs.size.toLong * params.k * 64).sum +
       assignBitsTotal
+  }
 
   /** raw bits (2×64 per point) over summary bits. */
   def compressionRatio: Double = nPoints * 128.0 / summaryBits
@@ -193,29 +253,15 @@ object PpqDecoder {
                   steps: Seq[StepSummary], codes: Seq[CodedPoint]): Map[(Int, Int), Pt] = {
     val qt = params.gs.map(g => new CoordinateQuadtree(Cqc.sideFor(params.eps1, g)))
     val byT = codes.groupBy(_.t)
-    val hist = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]]
+    val history = new ReconHistory(params)
     val out = mutable.HashMap.empty[(Int, Int), Pt]
     for (s <- steps.sortBy(_.t); cp <- byT.getOrElse(s.t, Seq.empty)) {
-      val hb = hist.get(cp.trajId)
-      val h: Array[Pt] = hb match {
-        case Some(b) if b.length >= params.k =>
-          val a = new Array[Pt](params.k)
-          var j = 0
-          while (j < params.k) { a(j) = b(b.length - 1 - j); j += 1 }
-          a
-        case _ => Array.empty
-      }
-      val pred =
-        if (params.predict && h.length == params.k) Predictor.predict(s.coeffs(cp.part), h)
-        else Pt(0.0, 0.0)
-      val recon = pred + codewords(cp.b)
+      val recon = history.predict(s.coeffs(cp.part), history.of(cp.trajId)) + codewords(cp.b)
       val refined = qt match {
         case Some(q) => Cqc.refine(recon, CqcCode(cp.cqcBits, cp.cqcLen), params.eps1, params.gs.get, q)
         case None => recon
       }
-      val b = hist.getOrElseUpdate(cp.trajId, mutable.ArrayBuffer.empty)
-      b += recon
-      if (b.length > params.k + 2) b.remove(0)
+      history.add(cp.trajId, recon)
       out((cp.trajId, cp.t)) = refined
     }
     out.toMap

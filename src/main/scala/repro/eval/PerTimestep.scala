@@ -46,66 +46,27 @@ object PerTimestep {
 
   /** PPQ family, fresh error-bounded codebook per timestamp (Table 2). */
   def runPpqBounded(name: String, data: TrajDataset, mode: PartitionMode,
-                    useCqc: Boolean, cfg: EvalConfig): MethodRun = {
-    val params = cfg.params(mode, useCqc)
-    val fe = new PredictiveFrontend(params)
-    val qt = if (useCqc) Some(new CoordinateQuadtree(Cqc.sideFor(cfg.eps1, cfg.gsDeg))) else None
-    val recon = mutable.HashMap.empty[(Int, Int), Pt]
-    val vPerT = mutable.HashMap.empty[Int, Int]
-    for (t <- 1 to data.len) {
-      val pts = data.pointsAt(t)
-      val plan = fe.plan(t, pts)
-      val cb = new ErrorBoundedCodebook(cfg.eps1)
-      val recons = new Array[Pt](pts.length)
-      var i = 0
-      while (i < pts.length) {
-        val e = pts(i)._2 - plan.preds(i)
-        val rc = plan.preds(i) + cb(cb.quantize(e))
-        recons(i) = rc
-        val refined = qt match {
-          case Some(q) =>
-            Cqc.refine(rc, Cqc.encode(pts(i)._2, rc, cfg.eps1, cfg.gsDeg, q), cfg.eps1, cfg.gsDeg, q)
-          case None => rc
-        }
-        recon((pts(i)._1, t)) = refined
-        i += 1
-      }
-      fe.commit(pts, recons)
-      vPerT(t) = cb.size
-    }
-    MethodRun(name, recon.toMap, vPerT.toMap, if (useCqc) Some(cfg.cqcRadiusDeg) else None)
-  }
+                    useCqc: Boolean, cfg: EvalConfig): MethodRun =
+    runPpq(name, data, mode, useCqc, CodebookPolicy.PerStep, cfg)
 
   /** PPQ family with a fixed-size (k-means) error codebook per timestamp
     * (Table 4's 5–9-bit protocol). */
   def runPpqFixed(name: String, data: TrajDataset, mode: PartitionMode,
-                  useCqc: Boolean, v: Int, cfg: EvalConfig): MethodRun = {
-    val params = cfg.params(mode, useCqc)
-    val fe = new PredictiveFrontend(params)
-    val qt = if (useCqc) Some(new CoordinateQuadtree(Cqc.sideFor(cfg.eps1, cfg.gsDeg))) else None
+                  useCqc: Boolean, v: Int, cfg: EvalConfig): MethodRun =
+    runPpq(name, data, mode, useCqc, CodebookPolicy.KMeansPerStep(v), cfg)
+
+  /** Steps one `PpqEncoder` under `policy` over the dataset and keeps the
+    * refined points; under `PerStep` also each timestamp's codebook size. */
+  private def runPpq(name: String, data: TrajDataset, mode: PartitionMode, useCqc: Boolean,
+                     policy: CodebookPolicy, cfg: EvalConfig): MethodRun = {
+    val enc = new PpqEncoder(cfg.params(mode, useCqc), policy)
     val recon = mutable.HashMap.empty[(Int, Int), Pt]
+    val vPerT = mutable.HashMap.empty[Int, Int]
     for (t <- 1 to data.len) {
-      val pts = data.pointsAt(t)
-      val plan = fe.plan(t, pts)
-      val errors = Array.tabulate(pts.length)(i => pts(i)._2 - plan.preds(i))
-      val (cents, assign) = KMeans.clusterPts(errors, v, iters = 10, seed = cfg.seed + t)
-      val recons = new Array[Pt](pts.length)
-      var i = 0
-      while (i < pts.length) {
-        val rc = plan.preds(i) + cents(assign(i))
-        recons(i) = rc
-        val refined = qt match {
-          case Some(q) =>
-            Cqc.refine(rc, Cqc.encode(pts(i)._2, rc, cfg.eps1, cfg.gsDeg, q), cfg.eps1, cfg.gsDeg, q)
-          case None => rc
-        }
-        recon((pts(i)._1, t)) = refined
-        i += 1
-      }
-      fe.commit(pts, recons)
+      for (cp <- enc.step(t, data.pointsAt(t))) recon((cp.trajId, t)) = cp.refined
+      if (policy == CodebookPolicy.PerStep) vPerT(t) = enc.codebook.size
     }
-    MethodRun(name, recon.toMap, Map.empty,
-      if (useCqc) Some(cfg.cqcRadiusDeg) else None)
+    MethodRun(name, recon.toMap, vPerT.toMap, if (useCqc) Some(cfg.cqcRadiusDeg) else None)
   }
 
   /** A baseline whose timestep t reconstruction is stepFn(points, v(t)). */

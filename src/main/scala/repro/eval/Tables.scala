@@ -113,23 +113,15 @@ object Table56 {
   def runOne(method: String, data: TrajDataset, devM: Double, cfg: EvalConfig): Row = {
     val devDeg = Geo.toDegrees(devM)
     method match {
-      case "PPQ-A" | "PPQ-S" =>
+      case "PPQ-A" | "PPQ-S" | "PPQ-A-basic" | "PPQ-S-basic" | "E-PQ" =>
         val gs = devDeg * math.sqrt(2.0)
-        val mode = if (method == "PPQ-A") PartitionMode.Autocorr else PartitionMode.Spatial
-        val params = cfg.params(mode, useCqc = true).copy(eps1 = 2 * gs, gs = Some(gs))
-        val (enc, sec) = time {
-          val e = new PpqEncoder(params)
-          for (t <- 1 to data.len) e.step(t, data.pointsAt(t))
-          e
+        val params = method match {
+          case "PPQ-A" => cfg.params(PartitionMode.Autocorr, useCqc = true).copy(eps1 = 2 * gs, gs = Some(gs))
+          case "PPQ-S" => cfg.params(PartitionMode.Spatial, useCqc = true).copy(eps1 = 2 * gs, gs = Some(gs))
+          case "PPQ-A-basic" => cfg.params(PartitionMode.Autocorr, useCqc = false).copy(eps1 = devDeg)
+          case "PPQ-S-basic" => cfg.params(PartitionMode.Spatial, useCqc = false).copy(eps1 = devDeg)
+          case _ => cfg.params(PartitionMode.Single, useCqc = false).copy(eps1 = devDeg)
         }
-        Row(method, devM, sec, enc.codebook.size, enc.summaryBits)
-      case "PPQ-A-basic" | "PPQ-S-basic" | "E-PQ" =>
-        val mode = method match {
-          case "PPQ-A-basic" => PartitionMode.Autocorr
-          case "PPQ-S-basic" => PartitionMode.Spatial
-          case _ => PartitionMode.Single
-        }
-        val params = cfg.params(mode, useCqc = false).copy(eps1 = devDeg)
         val (enc, sec) = time {
           val e = new PpqEncoder(params)
           for (t <- 1 to data.len) e.step(t, data.pointsAt(t))

@@ -1,9 +1,8 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
-import scala.collection.mutable
 
 /** Distributed PPQ-trajectory over Spark.
   *
@@ -46,21 +45,9 @@ object SparkPpq {
   def buildSummary(spark: SparkSession, points: DataFrame, params: PpqParams,
                    numGroups: Int = 8, groupCellDeg: Double = 0.05): Dataset[SummaryRow] = {
     import spark.implicits._
-    val grouped = points.join(assignGroups(points, groupCellDeg, numGroups), "traj_id")
-      .select(col("group"), col("traj_id"), col("t"), col("x"), col("y"))
-      .as[GroupedPoint]
-    grouped.groupByKey(_.group).flatMapGroups { (g, it) =>
-      val pts = it.toArray
-      val enc = new PpqEncoder(params)
-      val out = mutable.ArrayBuffer.empty[SummaryRow]
-      for ((t, arr) <- pts.groupBy(_.t).toSeq.sortBy(_._1)) {
-        val coded = enc.step(t, arr.map(p => (p.traj_id, Pt(p.x, p.y))))
-        coded.foreach { cp =>
-          out += SummaryRow(g, cp.trajId, cp.t, cp.part, cp.b, cp.cqcBits, cp.cqcLen,
-                            cp.refined.x, cp.refined.y)
-        }
-      }
-      out.iterator
+    encodeGroups(spark, points, params, numGroups, groupCellDeg) { (g, _, codes) =>
+      codes.iterator.map(cp => SummaryRow(g, cp.trajId, cp.t, cp.part, cp.b, cp.cqcBits, cp.cqcLen,
+                                          cp.refined.x, cp.refined.y))
     }
   }
 
@@ -68,16 +55,28 @@ object SparkPpq {
   def groupStats(spark: SparkSession, points: DataFrame, params: PpqParams,
                  numGroups: Int = 8, groupCellDeg: Double = 0.05): Dataset[GroupStats] = {
     import spark.implicits._
-    val grouped = points.join(assignGroups(points, groupCellDeg, numGroups), "traj_id")
+    encodeGroups(spark, points, params, numGroups, groupCellDeg) { (g, enc, _) =>
+      Iterator.single(GroupStats(g, enc.codebook.size, enc.nPoints, enc.summaryBits))
+    }
+  }
+
+  /** Runs one `PpqEncoder` per spatial group over that group's timestamps in
+    * increasing order, then hands `emit` the group, its encoder and its codes. */
+  private def encodeGroups[T: Encoder](spark: SparkSession, points: DataFrame, params: PpqParams,
+                                       numGroups: Int, groupCellDeg: Double)(
+      emit: (Int, PpqEncoder, Array[CodedPoint]) => Iterator[T]): Dataset[T] = {
+    import spark.implicits._
+    points.join(assignGroups(points, groupCellDeg, numGroups), "traj_id")
       .select(col("group"), col("traj_id"), col("t"), col("x"), col("y"))
       .as[GroupedPoint]
-    grouped.groupByKey(_.group).mapGroups { (g, it) =>
-      val pts = it.toArray
-      val enc = new PpqEncoder(params)
-      for ((t, arr) <- pts.groupBy(_.t).toSeq.sortBy(_._1))
-        enc.step(t, arr.map(p => (p.traj_id, Pt(p.x, p.y))))
-      GroupStats(g, enc.codebook.size, enc.nPoints, enc.summaryBits)
-    }
+      .groupByKey(_.group)
+      .flatMapGroups { (g, it) =>
+        val enc = new PpqEncoder(params)
+        val codes = it.toArray.groupBy(_.t).toArray.sortBy(_._1).flatMap { case (t, arr) =>
+          enc.step(t, arr.map(p => (p.traj_id, Pt(p.x, p.y))))
+        }
+        emit(g, enc, codes)
+      }
   }
 
   /** Attach g_c grid-cell columns to a summary (or raw) DataFrame whose

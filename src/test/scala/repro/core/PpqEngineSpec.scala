@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.TrajGen
+import repro.data.{TrajDataset, TrajGen}
 import scala.util.Random
 
 class PpqEngineSpec extends AnyFunSuite {
@@ -132,5 +132,55 @@ class PpqEngineSpec extends AnyFunSuite {
     for (t <- 1 to data.len) enc.step(t, data.pointsAt(t))
     assert(enc.numPartitions <= data.numTrajs)
     assert(enc.steps.last.numParts >= 1)
+  }
+
+  /** `data`'s points at t, with trajectory 1's point replaced by `bad`. */
+  private def withBadPoint(data: TrajDataset, t: Int, bad: Pt => Pt): Array[(Int, Pt)] =
+    data.pointsAt(t).map { case (id, p) => if (id == 1) (id, bad(p)) else (id, p) }
+
+  for (mode <- Seq(PartitionMode.Single, PartitionMode.Spatial, PartitionMode.Autocorr))
+    test(s"$mode: a non-finite point is rejected by id and t, and leaves the encoder untouched") {
+      val data = smallData
+      val params = PpqParams(mode = mode, epsP = 0.05)
+      val enc = new PpqEncoder(params)
+      val nan = intercept[IllegalArgumentException](enc.step(1, withBadPoint(data, 1, p => Pt(Double.NaN, p.y))))
+      assert(nan.getMessage.contains("trajectory 1 at t=1"), nan.getMessage)
+      assert(enc.nPoints == 0 && enc.steps.isEmpty && enc.codebook.size == 0)
+      val codes = (1 to 2).flatMap(t => enc.step(t, data.pointsAt(t)))
+      val inf = intercept[IllegalArgumentException](
+        enc.step(3, withBadPoint(data, 3, p => Pt(p.x, Double.PositiveInfinity))))
+      assert(inf.getMessage.contains("trajectory 1 at t=3"), inf.getMessage)
+      val after = (3 to data.len).flatMap(t => enc.step(t, data.pointsAt(t)))
+      val fresh = new PpqEncoder(params)
+      assert(codes ++ after == (1 to data.len).flatMap(t => fresh.step(t, data.pointsAt(t))))
+      assert(enc.codebook.codewords == fresh.codebook.codewords)
+    }
+
+  test("PerStep policy: a fresh codebook at every timestamp, bounded by eps1") {
+    val data = smallData
+    val params = PpqParams(mode = PartitionMode.Spatial, epsP = 0.05, gs = None)
+    val enc = new PpqEncoder(params, CodebookPolicy.PerStep)
+    for (t <- 1 to data.len) {
+      val codes = enc.step(t, data.pointsAt(t))
+      assert(codes.map(_.b).toSet == (0 until enc.codebook.size).toSet)
+      for (cp <- codes) assert(cp.recon.dist(data.point(cp.trajId, t)) <= params.eps1 + 1e-12)
+    }
+  }
+
+  test("KMeansPerStep policy: at most v codewords per timestamp") {
+    val data = smallData
+    val enc = new PpqEncoder(PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05), CodebookPolicy.KMeansPerStep(8))
+    for (t <- 1 to data.len) assert(enc.step(t, data.pointsAt(t)).map(_.b).forall(b => b >= 0 && b < 8))
+    intercept[UnsupportedOperationException](enc.codebook)
+  }
+
+  test("summaryBits is refused under the per-step codebook policies") {
+    val data = smallData
+    for (policy <- Seq(CodebookPolicy.PerStep, CodebookPolicy.KMeansPerStep(8))) {
+      val enc = new PpqEncoder(PpqParams(mode = PartitionMode.Single), policy)
+      enc.step(1, data.pointsAt(1))
+      intercept[UnsupportedOperationException](enc.summaryBits)
+      intercept[UnsupportedOperationException](enc.compressionRatio)
+    }
   }
 }
