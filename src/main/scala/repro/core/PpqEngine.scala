@@ -165,6 +165,8 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
   val quadtree: Option[CoordinateQuadtree] =
     params.gs.map(g => new CoordinateQuadtree(Cqc.sideFor(params.eps1, g)))
   private val frontend = new PredictiveFrontend(params)
+  /** The per-step slices the decoder needs; recorded under `Global` only,
+    * since the per-step policies keep no codebook to decode with. */
   val steps = mutable.ArrayBuffer.empty[StepSummary]
   var nPoints = 0L
   var cqcBitsTotal = 0L
@@ -213,7 +215,8 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
     frontend.commit(points, recons)
     nPoints += n
     assignBitsTotal += n.toLong * MathUtil.ceilLog2(math.max(plan.numParts, 2))
-    steps += StepSummary(t, plan.coeffs, points.map(_._1).zip(plan.assign).toMap, plan.numParts)
+    if (policy == CodebookPolicy.Global)
+      steps += StepSummary(t, plan.coeffs, points.map(_._1).zip(plan.assign).toMap, plan.numParts)
     out
   }
 

@@ -1,27 +1,40 @@
 package repro.spark
 
+import org.apache.spark.Partitioner
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
 import repro.core._
+import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Distributed PPQ-trajectory over Spark.
   *
   * Trajectories are partitioned across executors by a coarse spatial group
   * (grid cell of the trajectory's mean position, hashed into `numGroups`);
   * each group runs the sequential `PpqEncoder` — its own PPQ codebook and
-  * coordinate-quadtree template — inside `flatMapGroups`. The resulting
-  * summary is a DataFrame carrying the refined reconstruction plus g_c
-  * grid-cell columns, so spatio-temporal queries are plain DataFrame
-  * filters, and exact STRQ is a join of the candidate list back to the raw
-  * points (the paper's refinement step).
+  * coordinate-quadtree template. A build takes two steps:
+  *  1. Group map: a map-only pass sums x, y and the point count of each
+  *     trajectory per input partition; the driver merges the sums in
+  *     partition order and applies the grouping rule (`groupOf`).
+  *  2. Encode: one shuffle into exactly `numGroups` partitions, partition g
+  *     holding group g. Each input partition sends one columnar block of
+  *     points per group; each task sorts its group's points by
+  *     (t, traj_id) and steps one encoder, so the codes equal a sequential
+  *     encoder's over the same points, whatever the input's partitioning.
+  * The encode step used to be a `groupByKey` exchange. Adaptive query
+  * execution coalesced its 200 shuffle partitions into one task, so on
+  * 400×150 Porto-like data all groups encoded one after another on one core.
+  *
+  * The resulting summary is a DataFrame carrying the refined reconstruction
+  * plus g_c grid-cell columns, so spatio-temporal queries are plain
+  * DataFrame filters, and exact STRQ is a join of the candidate list back to
+  * the raw points (the paper's refinement step).
   */
 object SparkPpq {
 
   /** Raw input row. */
   final case class PointRow(traj_id: Int, t: Int, x: Double, y: Double)
-  // NOTE: must be public — Catalyst's generated SafeProjection accesses the
-  // encoder class members directly and Janino rejects private nested types.
-  final case class GroupedPoint(group: Int, traj_id: Int, t: Int, x: Double, y: Double)
 
   /** One summarized point: partition id, codeword index, CQC code, and the
     * refined reconstruction. */
@@ -33,15 +46,16 @@ object SparkPpq {
 
   /** Assign each trajectory to a spatial group: coarse cell of its mean
     * position, hashed to [0, numGroups). */
-  def assignGroups(points: DataFrame, cellDeg: Double, numGroups: Int): DataFrame =
-    points.groupBy("traj_id")
-      .agg(avg("x").as("mx"), avg("y").as("my"))
-      .select(col("traj_id"),
-        pmod(hash(floor(col("mx") / cellDeg), floor(col("my") / cellDeg)), lit(numGroups))
-          .cast("int").as("group"))
+  def assignGroups(points: DataFrame, cellDeg: Double, numGroups: Int): DataFrame = {
+    val spark = points.sparkSession
+    import spark.implicits._
+    val groups = groupMap(points, cellDeg, numGroups)
+    groups.ids.zip(groups.groups).toSeq.toDF("traj_id", "group")
+  }
 
   /** Build per-group PPQ summaries. `points` must have columns
-    * (traj_id INT, t INT, x DOUBLE, y DOUBLE). */
+    * (traj_id INT, t INT, x DOUBLE, y DOUBLE). The summary has `numGroups`
+    * partitions; partition g holds group g. */
   def buildSummary(spark: SparkSession, points: DataFrame, params: PpqParams,
                    numGroups: Int = 8, groupCellDeg: Double = 0.05): Dataset[SummaryRow] = {
     import spark.implicits._
@@ -60,23 +74,121 @@ object SparkPpq {
     }
   }
 
-  /** Runs one `PpqEncoder` per spatial group over that group's timestamps in
-    * increasing order, then hands `emit` the group, its encoder and its codes. */
-  private def encodeGroups[T: Encoder](spark: SparkSession, points: DataFrame, params: PpqParams,
-                                       numGroups: Int, groupCellDeg: Double)(
-      emit: (Int, PpqEncoder, Array[CodedPoint]) => Iterator[T]): Dataset[T] = {
-    import spark.implicits._
-    points.join(assignGroups(points, groupCellDeg, numGroups), "traj_id")
-      .select(col("group"), col("traj_id"), col("t"), col("x"), col("y"))
-      .as[GroupedPoint]
-      .groupByKey(_.group)
-      .flatMapGroups { (g, it) =>
-        val enc = new PpqEncoder(params)
-        val codes = it.toArray.groupBy(_.t).toArray.sortBy(_._1).flatMap { case (t, arr) =>
-          enc.step(t, arr.map(p => (p.traj_id, Pt(p.x, p.y))))
+  /** The grouping rule, Spark SQL's
+    * `pmod(hash(floor(mx / cellDeg), floor(my / cellDeg)), numGroups)` over a
+    * trajectory's mean position (mx, my): `hash` is Murmur3 with seed 42,
+    * chained from the x cell to the y cell. */
+  private def groupOf(mx: Double, my: Double, cellDeg: Double, numGroups: Int): Int = {
+    val hx = Murmur3_x86_32.hashLong(math.floor(mx / cellDeg).toLong, 42)
+    Math.floorMod(Murmur3_x86_32.hashLong(math.floor(my / cellDeg).toLong, hx), numGroups)
+  }
+
+  /** Trajectory ids in increasing order, and the group of each. */
+  private final class GroupMap(val ids: Array[Int], val groups: Array[Int]) extends Serializable {
+    def apply(id: Int): Int = groups(java.util.Arrays.binarySearch(ids, id))
+  }
+
+  /** Running coordinate sums and point count of one trajectory. */
+  private final class Sums(var x: Double, var y: Double, var n: Long) extends Serializable
+
+  /** Step 1: the group of every trajectory, from per-partition sums merged
+    * on the driver — no shuffle. */
+  private def groupMap(points: DataFrame, cellDeg: Double, numGroups: Int): GroupMap = {
+    require(numGroups >= 1, s"numGroups must be at least 1, got $numGroups")
+    val partial = points.select(col("traj_id").cast("int"), col("x").cast("double"), col("y").cast("double"))
+      .queryExecution.toRdd.mapPartitions { rows =>
+        val sums = mutable.HashMap.empty[Int, Sums]
+        var cur: Sums = null
+        var curId = 0
+        rows.foreach { r =>
+          val id = r.getInt(0)
+          if (cur == null || id != curId) { cur = sums.getOrElseUpdate(id, new Sums(0.0, 0.0, 0L)); curId = id }
+          cur.x += r.getDouble(1); cur.y += r.getDouble(2); cur.n += 1
         }
-        emit(g, enc, codes)
+        Iterator.single(sums.toArray)
+      }.collect()
+    val total = mutable.HashMap.empty[Int, Sums]
+    for (part <- partial; (id, s) <- part) total.get(id) match {
+      case Some(acc) => acc.x += s.x; acc.y += s.y; acc.n += s.n
+      case None => total(id) = s
+    }
+    val ids = total.keys.toArray.sorted
+    new GroupMap(ids, ids.map { id => val s = total(id); groupOf(s.x / s.n, s.y / s.n, cellDeg, numGroups) })
+  }
+
+  /** One input partition's points of one group, column by column. */
+  private final class Block(val ids: Array[Int], val ts: Array[Int],
+                            val xs: Array[Double], val ys: Array[Double]) extends Serializable
+
+  private final class BlockBuilder {
+    private val ids = new mutable.ArrayBuilder.ofInt
+    private val ts = new mutable.ArrayBuilder.ofInt
+    private val xs = new mutable.ArrayBuilder.ofDouble
+    private val ys = new mutable.ArrayBuilder.ofDouble
+    def add(id: Int, t: Int, x: Double, y: Double): Unit = { ids += id; ts += t; xs += x; ys += y }
+    def addAll(b: Block): Unit = { ids ++= b.ids; ts ++= b.ts; xs ++= b.xs; ys ++= b.ys }
+    def result(): Block = new Block(ids.result(), ts.result(), xs.result(), ys.result())
+  }
+
+  /** Sends group g to partition g. */
+  private final class GroupPartitioner(val numPartitions: Int) extends Partitioner {
+    def getPartition(key: Any): Int = key.asInstanceOf[Int]
+  }
+
+  /** Step 2: one shuffle of per-group blocks into `numGroups` partitions,
+    * then one `PpqEncoder` per non-empty group; hands `emit` the group, its
+    * encoder and its codes. */
+  private def encodeGroups[T: Encoder: ClassTag](spark: SparkSession, points: DataFrame, params: PpqParams,
+                                                 numGroups: Int, groupCellDeg: Double)(
+      emit: (Int, PpqEncoder, Array[CodedPoint]) => Iterator[T]): Dataset[T] = {
+    val groups = groupMap(points, groupCellDeg, numGroups)
+    val blocks = points
+      .select(col("traj_id").cast("int"), col("t").cast("int"), col("x").cast("double"), col("y").cast("double"))
+      .queryExecution.toRdd.mapPartitions { rows =>
+        val out = new Array[BlockBuilder](numGroups)
+        var cur: BlockBuilder = null
+        var curId = 0
+        rows.foreach { r =>
+          val id = r.getInt(0)
+          if (cur == null || id != curId) {
+            val g = groups(id)
+            if (out(g) == null) out(g) = new BlockBuilder
+            cur = out(g); curId = id
+          }
+          cur.add(id, r.getInt(1), r.getDouble(2), r.getDouble(3))
+        }
+        out.indices.iterator.filter(out(_) != null).map(g => (g, out(g).result()))
       }
+    val coded = blocks.partitionBy(new GroupPartitioner(numGroups)).mapPartitionsWithIndex { (g, it) =>
+      if (!it.hasNext) Iterator.empty
+      else {
+        val all = new BlockBuilder
+        it.foreach { case (_, b) => all.addAll(b) }
+        val enc = new PpqEncoder(params)
+        emit(g, enc, encodeSorted(enc, all.result()))
+      }
+    }
+    spark.createDataset(coded)
+  }
+
+  /** Steps `enc` over a group's points, timestamps in increasing order and
+    * each timestamp's points by traj_id. */
+  private def encodeSorted(enc: PpqEncoder, b: Block): Array[CodedPoint] = {
+    val n = b.ids.length
+    val byT = Array.tabulate(n)(i => (b.ts(i).toLong << 32) | i)
+    java.util.Arrays.sort(byT)
+    val out = new mutable.ArrayBuilder.ofRef[CodedPoint]
+    var from = 0
+    while (from < n) {
+      val t = (byT(from) >> 32).toInt
+      var until = from
+      while (until < n && (byT(until) >> 32).toInt == t) until += 1
+      val byId = Array.tabulate(until - from) { j => val i = byT(from + j).toInt; (b.ids(i).toLong << 32) | i }
+      java.util.Arrays.sort(byId)
+      out ++= enc.step(t, byId.map { k => val i = k.toInt; (b.ids(i), Pt(b.xs(i), b.ys(i))) })
+      from = until
+    }
+    out.result()
   }
 
   /** Attach g_c grid-cell columns to a summary (or raw) DataFrame whose

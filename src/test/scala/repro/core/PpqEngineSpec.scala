@@ -174,6 +174,15 @@ class PpqEngineSpec extends AnyFunSuite {
     intercept[UnsupportedOperationException](enc.codebook)
   }
 
+  test("the per-step codebook policies record no decoder steps") {
+    val data = smallData
+    for (policy <- Seq(CodebookPolicy.PerStep, CodebookPolicy.KMeansPerStep(8))) {
+      val enc = new PpqEncoder(PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05), policy)
+      for (t <- 1 to data.len) enc.step(t, data.pointsAt(t))
+      assert(enc.nPoints == data.numPoints && enc.steps.isEmpty, s"$policy")
+    }
+  }
+
   test("summaryBits is refused under the per-step codebook policies") {
     val data = smallData
     for (policy <- Seq(CodebookPolicy.PerStep, CodebookPolicy.KMeansPerStep(8))) {

@@ -27,6 +27,70 @@ class SparkPpqSpec extends SparkSpec {
     assert(g.map(_.getInt(1)).forall(x => x >= 0 && x < 4))
   }
 
+  test("assignGroups keeps the SQL grouping rule") {
+    for (cell <- Seq(0.05, 0.005); n <- Seq(1, 4, 7)) {
+      val reference = rawDf.groupBy("traj_id")
+        .agg(avg("x").as("mx"), avg("y").as("my"))
+        .select(col("traj_id"),
+          pmod(hash(floor(col("mx") / cell), floor(col("my") / cell)), lit(n)).cast("int").as("group"))
+      assert(SparkPpq.assignGroups(rawDf, cell, n).collect().toSet == reference.collect().toSet, s"cell $cell, $n groups")
+    }
+  }
+
+  test("numGroups below 1 is rejected on the driver") {
+    for (n <- Seq(0, -2)) {
+      intercept[IllegalArgumentException](SparkPpq.buildSummary(spark, rawDf, params, numGroups = n))
+      intercept[IllegalArgumentException](SparkPpq.groupStats(spark, rawDf, params, numGroups = n))
+      intercept[IllegalArgumentException](SparkPpq.assignGroups(rawDf, 0.05, n))
+    }
+  }
+
+  test("each group's rows and stats equal a sequential PpqEncoder over its trajectories in (t, traj_id) order") {
+    val groupOf = SparkPpq.assignGroups(rawDf, 0.05, 4).collect().map(r => r.getInt(0) -> r.getInt(1))
+    val rows = summary.collect()
+    val stats = SparkPpq.groupStats(spark, rawDf, params, numGroups = 4).collect()
+    val groups = groupOf.groupBy(_._2).map { case (g, m) => g -> m.map(_._1).sorted }
+    assert(rows.map(_.group).toSet == groups.keySet && stats.map(_.group).toSet == groups.keySet)
+    for ((g, ids) <- groups) {
+      val enc = new PpqEncoder(params)
+      val expected = (1 to data.len).flatMap(t => enc.step(t, ids.map(id => (id, data.point(id, t)))))
+        .map(cp => SparkPpq.SummaryRow(g, cp.trajId, cp.t, cp.part, cp.b, cp.cqcBits, cp.cqcLen,
+                                       cp.refined.x, cp.refined.y))
+      assert(rows.filter(_.group == g).sortBy(r => (r.t, r.traj_id)).toSeq == expected, s"group $g")
+      assert(stats.filter(_.group == g).toSeq ==
+        Seq(SparkPpq.GroupStats(g, enc.codebook.size, enc.nPoints, enc.summaryBits)), s"group $g")
+    }
+  }
+
+  /** Runs `body` with one SQL conf of the shared session set, then restores it. */
+  private def withConf[A](key: String, value: String)(body: => A): A = {
+    val old = spark.conf.getOption(key)
+    spark.conf.set(key, value)
+    try body finally old.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+  }
+
+  test("the summary does not depend on the input's partitioning, row order or shuffle coalescing") {
+    import spark.implicits._
+    val reversed = rawDf.as[SparkPpq.PointRow].collect().reverse.toSeq.toDF().repartition(3)
+    val expected = summary.collect().sortBy(r => (r.traj_id, r.t)).toSeq
+    assert(SparkPpq.buildSummary(spark, reversed, params, numGroups = 4).collect()
+      .sortBy(r => (r.traj_id, r.t)).toSeq == expected)
+    // without adaptive coalescing, points reach a group from many shuffle
+    // partitions, in no fixed order
+    val uncoalesced = withConf("spark.sql.adaptive.enabled", "false") {
+      SparkPpq.buildSummary(spark, reversed, params, numGroups = 4).collect()
+    }
+    assert(uncoalesced.sortBy(r => (r.traj_id, r.t)).toSeq == expected)
+  }
+
+  test("the summary has numGroups partitions, partition g holding only group g") {
+    val parts = SparkPpq.buildSummary(spark, rawDf, params, numGroups = 5).rdd
+      .mapPartitionsWithIndex((i, it) => Iterator(i -> it.map(_.group).toSet)).collect()
+    assert(parts.length == 5)
+    assert(parts.forall { case (i, gs) => gs.subsetOf(Set(i)) }, parts.toSeq)
+    assert(parts.count(_._2.nonEmpty) > 1)
+  }
+
   test("summary has one row per raw point") {
     assert(summary.count() == data.numPoints)
   }
