@@ -22,8 +22,7 @@ object StrqJob {
       val params = PpqParams()
       val gc = Geo.toDegrees(100.0)
       val radius = math.sqrt(2.0) / 2.0 * params.gs.get
-      val summary = SparkPpq.withCells(
-        SparkPpq.buildSummary(spark, raw, params).toDF(), gc, data.bbox.x0, data.bbox.y0).cache()
+      val summary = SparkPpq.buildSummary(spark, raw, params).toDF().cache()
       val rng = new scala.util.Random(5)
       var exactHits = 0L
       for (_ <- 1 to nQ) {

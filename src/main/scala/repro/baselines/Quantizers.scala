@@ -2,16 +2,27 @@ package repro.baselines
 
 import repro.core._
 
+/** An error-bounded raw-point quantizer (Tables 5/6): `quantize` maps each
+  * point within the bound, `summaryBits` sizes the codebook plus the codes
+  * of `nPoints` quantized points. */
+trait BoundedQuantizer {
+  def quantize(p: Pt): Pt
+  def codewords: Int
+  def summaryBits(nPoints: Long): Long
+}
+
 /** Q-trajectory (§6.1): the PPQ pipeline with the prediction skipped —
   * raw points are quantized directly. Error-bounded variant for Tables
   * 5/6, fixed-budget (k-means per timestamp) variant for Tables 2–4. */
 object QTrajectory {
 
   /** Error-bounded: one incrementally grown codebook over all raw points. */
-  final class Bounded(epsDeg: Double) {
+  final class Bounded(epsDeg: Double) extends BoundedQuantizer {
     val codebook = new ErrorBoundedCodebook(epsDeg)
     def quantize(p: Pt): Pt = codebook(codebook.quantize(p))
     def codewords: Int = codebook.size
+    /** 2×64-bit codewords and one ⌈log₂ |C|⌉-bit code per point. */
+    def summaryBits(nPoints: Long): Long = codewords.toLong * 128 + nPoints * MathUtil.ceilLog2(math.max(codewords, 2))
   }
 
   /** Fixed budget: k-means with v centroids over this timestamp's points. */
@@ -29,13 +40,16 @@ object ProductQuantization {
 
   /** Error-bounded: each dimension bounded by eps/√2 so the joint L2
     * deviation stays ≤ eps. */
-  final class Bounded(epsDeg: Double) {
+  final class Bounded(epsDeg: Double) extends BoundedQuantizer {
     private val epsDim = epsDeg / math.sqrt(2.0)
     private val cbX = new ErrorBoundedCodebook(epsDim)
     private val cbY = new ErrorBoundedCodebook(epsDim)
     def quantize(p: Pt): Pt =
       Pt(cbX(cbX.quantize(Pt(p.x, 0.0))).x, cbY(cbY.quantize(Pt(p.y, 0.0))).x)
     def codewords: Int = cbX.size + cbY.size
+    /** 64-bit scalar codewords; two codes per point, each for half the codewords. */
+    def summaryBits(nPoints: Long): Long =
+      codewords.toLong * 64 + nPoints * 2 * MathUtil.ceilLog2(math.max(codewords / 2, 2))
   }
 
   /** Fixed budget: v/2 centroids per dimension (total stored = v). */
@@ -53,7 +67,7 @@ object ProductQuantization {
   * splits the codeword budget evenly across the two stages. */
 object ResidualQuantization {
 
-  final class Bounded(epsDeg: Double, coarseFactor: Double = 8.0) {
+  final class Bounded(epsDeg: Double, coarseFactor: Double = 8.0) extends BoundedQuantizer {
     private val stage1 = new ErrorBoundedCodebook(epsDeg * coarseFactor)
     private val stage2 = new ErrorBoundedCodebook(epsDeg)
     def quantize(p: Pt): Pt = {
@@ -62,6 +76,9 @@ object ResidualQuantization {
       c1 + stage2(stage2.quantize(r))
     }
     def codewords: Int = stage1.size + stage2.size
+    /** 2×64-bit codewords; two codes per point (one per stage), each for half the codewords. */
+    def summaryBits(nPoints: Long): Long =
+      codewords.toLong * 128 + nPoints * 2 * MathUtil.ceilLog2(math.max(codewords / 2, 2))
   }
 
   def budgetStep(points: Array[Pt], v: Int, seed: Long): Array[Pt] = {

@@ -98,12 +98,15 @@ object KMeans {
   }
 
   /** Squared distance from a to the vector stored at flat(off until off + a.length). */
-  private def dist2(a: Array[Double], flat: Array[Double], off: Int): Double = {
+  private[core] def dist2(a: Array[Double], flat: Array[Double], off: Int): Double = {
     var s = 0.0
     var i = 0
     while (i < a.length) { val d = a(i) - flat(off + i); s += d * d; i += 1 }
     s
   }
+
+  /** Euclidean distance between a and b, summed as `dist2` sums. */
+  private[core] def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(dist2(a, b, 0))
 
   /** Insertion sort of centroid ids by coordinate 0. Centroids move little
     * between iterations, so starting from the previous order this is close

@@ -36,7 +36,6 @@ final case class Rect(x0: Double, y0: Double, x1: Double, y1: Double) {
     val nx1 = math.min(x1, o.x1); val ny1 = math.min(y1, o.y1)
     if (nx0 < nx1 && ny0 < ny1) Some(Rect(nx0, ny0, nx1, ny1)) else None
   }
-  def center: Pt = Pt((x0 + x1) / 2, (y0 + y1) / 2)
 }
 
 object Rect {

@@ -13,17 +13,10 @@ object Partitioner {
   final case class Result(assign: Array[Int], centroids: Array[Array[Double]], rounds: Int,
                           capped: Boolean = false)
 
-  private[core] def dist(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    math.sqrt(s)
-  }
-
   def maxDeviation(vecs: Array[Array[Double]], assign: Array[Int], cents: Array[Array[Double]]): Double = {
     var m = 0.0
     var i = 0
-    while (i < vecs.length) { val d = dist(vecs(i), cents(assign(i))); if (d > m) m = d; i += 1 }
+    while (i < vecs.length) { val d = KMeans.dist(vecs(i), cents(assign(i))); if (d > m) m = d; i += 1 }
     m
   }
 
@@ -57,7 +50,7 @@ object Partitioner {
   * once per update (the paper's fragmentation guard). A new trajectory
   * joins the nearest live partition, the first one listed on a tie. */
 final class IncrementalPartitioner(epsP: Double, growth: Int = 4, seed: Long = 13) {
-  import Partitioner.dist
+  import KMeans.dist
 
   private val assignOf = mutable.HashMap.empty[Int, Int]   // trajId -> partition id
   // Partitions alive after the last update: ids and centroids by slot, and

@@ -34,9 +34,9 @@ final case class CodedPoint(
     recon: Pt, refined: Pt) extends Serializable
 
 /** Per-timestamp slice of the summary needed for decoding: the prediction
-  * coefficients of each partition and the point→partition assignment. */
-final case class StepSummary(t: Int, coeffs: Map[Int, Array[Double]],
-                             assign: Map[Int, Int], numParts: Int)
+  * coefficients of each partition and the partition count. Each point's
+  * partition travels in its `CodedPoint.part`. */
+final case class StepSummary(t: Int, coeffs: Map[Int, Array[Double]], numParts: Int)
 
 /** How the encoder builds its codebook C. Alg. 1 grows one error-bounded
   * codebook over the whole stream; the equal-budget protocol of Tables 2–4
@@ -92,6 +92,7 @@ final class ReconHistory(params: PpqParams) {
 final class PredictiveFrontend(val params: PpqParams) {
   private val history = new ReconHistory(params)
   private val raw = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]]  // raw, for AR features
+  private val keepRaw = params.mode == PartitionMode.Autocorr  // the only mode that reads `raw`
   private val partitioner = new IncrementalPartitioner(params.epsP, params.partGrowth, params.seed)
 
   final case class Plan(assign: Array[Int], coeffs: Map[Int, Array[Double]], preds: Array[Pt], numParts: Int)
@@ -138,16 +139,19 @@ final class PredictiveFrontend(val params: PpqParams) {
     Plan(assign, coeffs.result(), preds, numParts)
   }
 
-  /** Record this step's raw inputs and codebook reconstructions — the
-    * reconstructions drive the next step's prediction (Eq. 2 uses T̂). */
+  /** Record this step's codebook reconstructions — they drive the next
+    * step's prediction (Eq. 2 uses T̂) — and, under `Autocorr`, the raw
+    * points the AR features are computed from. */
   def commit(points: Array[(Int, Pt)], recons: Array[Pt]): Unit = {
     var i = 0
     while (i < points.length) {
       val (id, rp) = points(i)
       history.add(id, recons(i))
-      val rb = raw.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
-      rb += rp
-      if (rb.length > params.arWindow + params.k + 2) rb.remove(0)
+      if (keepRaw) {
+        val rb = raw.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
+        rb += rp
+        if (rb.length > params.arWindow + params.k + 2) rb.remove(0)
+      }
       i += 1
     }
   }
@@ -216,7 +220,7 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
     nPoints += n
     assignBitsTotal += n.toLong * MathUtil.ceilLog2(math.max(plan.numParts, 2))
     if (policy == CodebookPolicy.Global)
-      steps += StepSummary(t, plan.coeffs, points.map(_._1).zip(plan.assign).toMap, plan.numParts)
+      steps += StepSummary(t, plan.coeffs, plan.numParts)
     out
   }
 

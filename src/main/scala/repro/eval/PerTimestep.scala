@@ -97,33 +97,20 @@ object PerTimestep {
     MethodRun(name, recon.toMap, Map.empty, None)
   }
 
-  /** The full Table 2/3 method suite in the paper's row order. */
+  /** The full Table 2/3 method suite in the paper's row order; every
+    * baseline gets the per-timestamp budget of the first row, PPQ-A. */
   def allBudgetMatched(data: TrajDataset, cfg: EvalConfig): Seq[MethodRun] = {
-    val ppqA = runPpqBounded("PPQ-A", data, PartitionMode.Autocorr, useCqc = true, cfg)
-    val budget: Int => Int = t => ppqA.vPerT.getOrElse(t, 1)
-    Seq(
-      ppqA,
-      runPpqBounded("PPQ-A-basic", data, PartitionMode.Autocorr, useCqc = false, cfg),
-      runPpqBounded("PPQ-S", data, PartitionMode.Spatial, useCqc = true, cfg),
-      runPpqBounded("PPQ-S-basic", data, PartitionMode.Spatial, useCqc = false, cfg),
-      runPpqBounded("E-PQ", data, PartitionMode.Single, useCqc = false, cfg),
-      runIndependent("Q-trajectory", data, budget, QTrajectory.budgetStep, cfg.seed + 1000),
-      runIndependent("Residual Quantization", data, budget, ResidualQuantization.budgetStep, cfg.seed + 2000),
-      runIndependent("Product Quantization", data, budget, ProductQuantization.budgetStep, cfg.seed + 3000),
-      runTrajStore("TrajStore", data, budget, cfg))
+    val ppq = Methods.ppq.map(m => runPpqBounded(m.name, data, m.mode, m.useCqc, cfg))
+    val budget: Int => Int = t => ppq.head.vPerT.getOrElse(t, 1)
+    ppq ++ quantizerRuns(data, budget, cfg) :+ runTrajStore(Methods.TrajStore.name, data, budget, cfg)
   }
 
   /** The Table 4 suite (no TrajStore, fixed 2^bits codewords per timestamp). */
   def allFixedBits(data: TrajDataset, bits: Int, cfg: EvalConfig): Seq[MethodRun] = {
     val v = 1 << bits
-    Seq(
-      runPpqFixed("PPQ-A", data, PartitionMode.Autocorr, useCqc = true, v, cfg),
-      runPpqFixed("PPQ-A-basic", data, PartitionMode.Autocorr, useCqc = false, v, cfg),
-      runPpqFixed("PPQ-S", data, PartitionMode.Spatial, useCqc = true, v, cfg),
-      runPpqFixed("PPQ-S-basic", data, PartitionMode.Spatial, useCqc = false, v, cfg),
-      runPpqFixed("E-PQ", data, PartitionMode.Single, useCqc = false, v, cfg),
-      runIndependent("Q-trajectory", data, _ => v, QTrajectory.budgetStep, cfg.seed + 1000),
-      runIndependent("Residual Quantization", data, _ => v, ResidualQuantization.budgetStep, cfg.seed + 2000),
-      runIndependent("Product Quantization", data, _ => v, ProductQuantization.budgetStep, cfg.seed + 3000))
+    Methods.ppq.map(m => runPpqFixed(m.name, data, m.mode, m.useCqc, v, cfg)) ++ quantizerRuns(data, _ => v, cfg)
   }
+
+  private def quantizerRuns(data: TrajDataset, vOf: Int => Int, cfg: EvalConfig): Seq[MethodRun] =
+    Methods.quantizers.map(q => runIndependent(q.name, data, vOf, q.budgetStep, cfg.seed + q.seedOffset))
 }

@@ -24,9 +24,8 @@ object Render {
 object Table2 {
   final case class Row(method: String, maeM: Double, precision: Double, recall: Double)
 
-  def evaluate(runs: Seq[MethodRun], data: TrajDataset, cfg: EvalConfig,
-               nQueries: Int, qSeed: Long = 99): Seq[Row] = {
-    val qs = Queries.sampleQueries(data, nQueries, qSeed)
+  def evaluate(runs: Seq[MethodRun], data: TrajDataset, cfg: EvalConfig, nQueries: Int): Seq[Row] = {
+    val qs = Queries.sampleQueries(data, nQueries, seed = 99) // fixed query sample
     runs.map { r =>
       val mae = Queries.maeMeters(r.recon, data)
       var ps = 0.0; var rs = 0.0
@@ -55,10 +54,9 @@ object Table3 {
   final case class Row(method: String, maeByL: Seq[(Int, Double)])
 
   def evaluate(runs: Seq[MethodRun], data: TrajDataset,
-               lengths: Seq[Int] = Seq(10, 20, 30, 40, 50),
-               nQueries: Int = 200, seed: Long = 199): Seq[Row] =
-    runs.map { r =>
-      Row(r.name, lengths.map(l => l -> Queries.tpqMae(r.recon, data, nQueries, l, seed)))
+               lengths: Seq[Int] = Seq(10, 20, 30, 40, 50), nQueries: Int = 200): Seq[Row] =
+    runs.map { r => // one fixed sample seed for every method and length
+      Row(r.name, lengths.map(l => l -> Queries.tpqMae(r.recon, data, nQueries, l, seed = 199)))
     }
 
   def render(rows: Seq[Row], dataset: String): String =
@@ -73,8 +71,8 @@ object Table4 {
   final case class Row(method: String, byBits: Seq[(Int, Cell)])
 
   def run(data: TrajDataset, cfg: EvalConfig, bitsRange: Seq[Int] = Seq(5, 6, 7, 8, 9),
-          nQueries: Int = 100, qSeed: Long = 299): Seq[Row] = {
-    val qs = Queries.sampleQueries(data, nQueries, qSeed)
+          nQueries: Int = 100): Seq[Row] = {
+    val qs = Queries.sampleQueries(data, nQueries, seed = 299) // fixed query sample
     val byBits = bitsRange.map { bits =>
       bits -> PerTimestep.allFixedBits(data, bits, cfg).map { r =>
         val radius = r.boundRadiusDeg.getOrElse(Queries.maxDeviationDeg(r.recon, data))
@@ -82,9 +80,7 @@ object Table4 {
                        Queries.maeMeters(r.recon, data))
       }.toMap
     }
-    val methods = Seq("PPQ-A", "PPQ-A-basic", "PPQ-S", "PPQ-S-basic", "E-PQ",
-      "Q-trajectory", "Residual Quantization", "Product Quantization")
-    methods.map(m => Row(m, byBits.map { case (b, cells) => b -> cells(m) }))
+    (Methods.ppq ++ Methods.quantizers).map(m => Row(m.name, byBits.map { case (b, cells) => b -> cells(m.name) }))
   }
 
   def render(rows: Seq[Row], dataset: String): String = {
@@ -101,100 +97,55 @@ object Table4 {
 object Table56 {
   final case class Row(method: String, devM: Double, timeSec: Double, codewords: Long, summaryBits: Long)
 
-  private def time[A](body: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a = body
-    (a, (System.nanoTime() - t0) / 1e9)
-  }
-
-  /** Run one method at one target deviation. PPQ-A/S set ε₁ᴹ = 2·g_s with
-    * g_s = √2·dev so the CQC-refined deviation is (√2/2)·g_s = dev (§6.3.1);
-    * all other methods are bounded directly at dev. */
+  /** Run one method at one target deviation: PPQ rows at
+    * `Methods.Ppq.boundedParams`, the others bounded directly at dev. Each
+    * branch builds, then returns how to size what it built, so the time
+    * covers the build alone. */
   def runOne(method: String, data: TrajDataset, devM: Double, cfg: EvalConfig): Row = {
     val devDeg = Geo.toDegrees(devM)
-    method match {
-      case "PPQ-A" | "PPQ-S" | "PPQ-A-basic" | "PPQ-S-basic" | "E-PQ" =>
-        val gs = devDeg * math.sqrt(2.0)
-        val params = method match {
-          case "PPQ-A" => cfg.params(PartitionMode.Autocorr, useCqc = true).copy(eps1 = 2 * gs, gs = Some(gs))
-          case "PPQ-S" => cfg.params(PartitionMode.Spatial, useCqc = true).copy(eps1 = 2 * gs, gs = Some(gs))
-          case "PPQ-A-basic" => cfg.params(PartitionMode.Autocorr, useCqc = false).copy(eps1 = devDeg)
-          case "PPQ-S-basic" => cfg.params(PartitionMode.Spatial, useCqc = false).copy(eps1 = devDeg)
-          case _ => cfg.params(PartitionMode.Single, useCqc = false).copy(eps1 = devDeg)
-        }
-        val (enc, sec) = time {
-          val e = new PpqEncoder(params)
-          for (t <- 1 to data.len) e.step(t, data.pointsAt(t))
-          e
-        }
-        Row(method, devM, sec, enc.codebook.size, enc.summaryBits)
-      case "Q-trajectory" =>
-        val (q, sec) = time {
-          val q = new QTrajectory.Bounded(devDeg)
-          for (t <- 1 to data.len; (_, p) <- data.pointsAt(t)) q.quantize(p)
-          q
-        }
-        Row(method, devM, sec, q.codewords,
-          q.codewords.toLong * 128 + data.numPoints * MathUtil.ceilLog2(math.max(q.codewords, 2)))
-      case "Residual Quantization" =>
-        val (q, sec) = time {
-          val q = new ResidualQuantization.Bounded(devDeg)
-          for (t <- 1 to data.len; (_, p) <- data.pointsAt(t)) q.quantize(p)
-          q
-        }
-        Row(method, devM, sec, q.codewords,
-          q.codewords.toLong * 128 + data.numPoints * 2 * MathUtil.ceilLog2(math.max(q.codewords / 2, 2)))
-      case "Product Quantization" =>
-        val (q, sec) = time {
-          val q = new ProductQuantization.Bounded(devDeg)
-          for (t <- 1 to data.len; (_, p) <- data.pointsAt(t)) q.quantize(p)
-          q
-        }
-        Row(method, devM, sec, q.codewords,
-          q.codewords.toLong * 64 + data.numPoints * 2 * MathUtil.ceilLog2(math.max(q.codewords / 2, 2)))
-      case "TrajStore" =>
-        val ((_, words), sec) = time {
-          val idx = new TrajStoreIndex(data.bbox, cfg.trajStoreLeaf)
-          for (t <- 1 to data.len; (id, p) <- data.pointsAt(t)) idx.insert(id, t, p)
-          TrajStoreQuant.summarizeBounded(idx, devDeg)
-        }
-        Row(method, devM, sec, words,
-          words.toLong * 128 + data.numPoints * MathUtil.ceilLog2(math.max(words, 2)))
-      case other => sys.error(s"unknown method $other")
+    val m = Methods.all.find(_.name == method).getOrElse(sys.error(s"unknown method $method"))
+    val t0 = System.nanoTime()
+    val size: () => (Int, Long) = m match {
+      case m: Methods.Ppq =>
+        val enc = new PpqEncoder(m.boundedParams(cfg, devDeg))
+        for (t <- 1 to data.len) enc.step(t, data.pointsAt(t))
+        () => (enc.codebook.size, enc.summaryBits)
+      case m: Methods.Quantizer =>
+        val q = m.bounded(devDeg)
+        for (t <- 1 to data.len; (_, p) <- data.pointsAt(t)) q.quantize(p)
+        () => (q.codewords, q.summaryBits(data.numPoints))
+      case Methods.TrajStore =>
+        val idx = new TrajStoreIndex(data.bbox, cfg.trajStoreLeaf)
+        for (t <- 1 to data.len; (id, p) <- data.pointsAt(t)) idx.insert(id, t, p)
+        val words = TrajStoreQuant.summarizeBounded(idx, devDeg)._2
+        () => (words, words.toLong * 128 + data.numPoints * MathUtil.ceilLog2(math.max(words, 2)))
     }
+    val sec = (System.nanoTime() - t0) / 1e9
+    val (words, bits) = size()
+    Row(method, devM, sec, words, bits)
   }
 
-  val methods: Seq[String] = Seq("PPQ-A", "PPQ-A-basic", "PPQ-S", "PPQ-S-basic", "E-PQ",
-    "Q-trajectory", "Residual Quantization", "Product Quantization", "TrajStore")
+  val methods: Seq[String] = Methods.all.map(_.name)
 
   def run(data: TrajDataset, devsM: Seq[Double], cfg: EvalConfig): Seq[Row] =
     for (m <- methods; d <- devsM) yield runOne(m, data, d, cfg)
 
-  def renderTime(rows: Seq[Row], dataset: String): String = {
+  /** One row per method, one column per deviation in `rows`. */
+  private def renderByDev(title: String, rows: Seq[Row])(cell: Row => String): String = {
     val devs = rows.map(_.devM).distinct.sorted
-    Render.table(s"Table 5 — $dataset (build time, s)",
-      "Method" +: devs.map(d => s"${d.toInt}m"),
-      methods.map(m => m +: devs.map(d =>
-        Render.f(rows.find(r => r.method == m && r.devM == d).get.timeSec, 3))))
+    Render.table(title, "Method" +: devs.map(d => s"${d.toInt}m"),
+      methods.map(m => m +: devs.map(d => cell(rows.find(r => r.method == m && r.devM == d).get))))
   }
 
-  def renderCodewords(rows: Seq[Row], dataset: String): String = {
-    val devs = rows.map(_.devM).distinct.sorted
-    Render.table(s"Table 6 — $dataset (#codewords)",
-      "Method" +: devs.map(d => s"${d.toInt}m"),
-      methods.map(m => m +: devs.map(d =>
-        rows.find(r => r.method == m && r.devM == d).get.codewords.toString)))
-  }
+  def renderTime(rows: Seq[Row], dataset: String): String =
+    renderByDev(s"Table 5 — $dataset (build time, s)", rows)(r => Render.f(r.timeSec, 3))
 
-  def renderCompression(rows: Seq[Row], dataset: String, rawBitsPerPoint: Long, nPoints: Long): String = {
-    val devs = rows.map(_.devM).distinct.sorted
-    Render.table(s"Compression ratio — $dataset (raw/summary; Fig. 9 analogue)",
-      "Method" +: devs.map(d => s"${d.toInt}m"),
-      methods.map(m => m +: devs.map { d =>
-        val r = rows.find(r => r.method == m && r.devM == d).get
-        Render.f(nPoints * rawBitsPerPoint.toDouble / r.summaryBits, 2)
-      }))
-  }
+  def renderCodewords(rows: Seq[Row], dataset: String): String =
+    renderByDev(s"Table 6 — $dataset (#codewords)", rows)(_.codewords.toString)
+
+  def renderCompression(rows: Seq[Row], dataset: String, rawBitsPerPoint: Long, nPoints: Long): String =
+    renderByDev(s"Compression ratio — $dataset (raw/summary; Fig. 9 analogue)", rows)(r =>
+      Render.f(nPoints * rawBitsPerPoint.toDouble / r.summaryBits, 2))
 }
 
 /** Tables 7 + 8: TPI statistics against ε_c and ε_d. */
@@ -229,12 +180,29 @@ object Table9 {
 
   /** Page size is scaled to the substrate (paper: 1 MB over 74M points;
     * here 8 KB over ~10^4–10^5 points) so blocks stay multi-page and the
-    * per-method I/O ordering is measurable. Queries are sorted by start
-    * time, as §6.5 does. */
-  def run(data: TrajDataset, cfg: EvalConfig, nQueries: Int = 2000, qSeed: Long = 399,
-          epsD: Double = 0.8, epsC: Double = 0.5, pageBytes: Int = 8 * 1024,
-          trajStoreDiskLeaf: Int = 6000): Seq[Row] = {
-    val queries = Queries.sampleQueries(data, nQueries, qSeed)
+    * per-method I/O ordering is measurable. */
+  private val PageBytes = 8 * 1024
+  /** Disk-resident TrajStore cells persist over the WHOLE time range (the
+    * paper's §6.5 observation that one cell spans many pages); this leaf
+    * capacity keeps cells multi-page relative to the per-timestamp region
+    * blocks of PI/TPI, matching that cell-to-page ratio. */
+  private val TrajStoreDiskLeaf = 6000
+
+  /** One block per (key, region) of each keyed PI, sized by the region's
+    * postings, laid out in key order and region-id order within a key. */
+  private def regionLayout(pis: Seq[(Int, PiIndex)]): DiskSim.Layout[(Int, Int)] = {
+    val layout = new DiskSim.Layout[(Int, Int)](PageBytes)
+    for ((key, pi) <- pis) {
+      val counts = mutable.HashMap.empty[Int, Int]
+      for (((region, _, _, _), ids) <- pi.allPostings) counts(region) = counts.getOrElse(region, 0) + ids.length
+      for ((region, c) <- counts.toSeq.sorted) layout.add((key, region), c)
+    }
+    layout
+  }
+
+  /** Queries are sorted by start time, as §6.5 does. */
+  def run(data: TrajDataset, cfg: EvalConfig, nQueries: Int = 2000): Seq[Row] = {
+    val queries = Queries.sampleQueries(data, nQueries, seed = 399)
       .map(q => (Pt(q.x, q.y), q.t)).sortBy(_._2)
     // The paper partitions ~10^5 points per timestamp, so spatial
     // partitioning dominates index building (what makes per-timestamp PI
@@ -245,15 +213,10 @@ object Table9 {
 
     // --- TPI ---
     val t0 = System.nanoTime()
-    val tpi = new TpiIndex(epsS, cfg.gcDeg, epsC, epsD)
+    val tpi = new TpiIndex(epsS, cfg.gcDeg, epsC = 0.5, epsD = 0.8) // §6.5's TPI setting
     for (t <- 1 to data.len) tpi.step(t, data.pointsAt(t))
     val tpiBuildMs = (System.nanoTime() - t0) / 1000000
-    val tpiLayout = new DiskSim.Layout[(Int, Int)](pageBytes)
-    for ((period, pi) <- tpi.periods.zipWithIndex.map(_.swap)) {
-      val counts = mutable.HashMap.empty[Int, Int]
-      for (((region, _, _, _), ids) <- pi.pi.allPostings) counts(region) = counts.getOrElse(region, 0) + ids.length
-      for ((region, c) <- counts.toSeq.sorted) tpiLayout.add((period, region), c)
-    }
+    val tpiLayout = regionLayout(tpi.periods.indices.map(i => (i, tpi.periods(i).pi)))
     val periodAt: Map[Int, Int] = // t -> period index, precomputed once
       (for ((per, i) <- tpi.periods.zipWithIndex.toSeq; t <- per.start to per.end) yield t -> i).toMap
     val tpiStats = DiskSim.runQueries[(Int, Int)](queries, { case (p, t) =>
@@ -267,13 +230,7 @@ object Table9 {
     val t1 = System.nanoTime()
     val pis = (1 to data.len).map(t => Pi.build(t, data.pointsAt(t), epsS, cfg.gcDeg, cfg.seed + t))
     val piBuildMs = (System.nanoTime() - t1) / 1000000
-    val piLayout = new DiskSim.Layout[(Int, Int)](pageBytes)
-    for (t <- 1 to data.len) {
-      val pi = pis(t - 1)
-      val counts = mutable.HashMap.empty[Int, Int]
-      for (((region, _, _, _), ids) <- pi.allPostings) counts(region) = counts.getOrElse(region, 0) + ids.length
-      for ((region, c) <- counts.toSeq.sorted) piLayout.add((t, region), c)
-    }
+    val piLayout = regionLayout((1 to data.len).zip(pis))
     val piStats = DiskSim.runQueries[(Int, Int)](queries, { case (p, t) =>
       val r = pis(t - 1).regionOf(p)
       if (r >= 0) Some((t, r)) else None
@@ -281,19 +238,14 @@ object Table9 {
     val piSizeMB = pis.map(_.sizeBits).sum / 8.0 / 1e6
 
     // --- TrajStore ---
-    // Disk-resident TrajStore cells persist over the WHOLE time range (the
-    // paper's §6.5 observation that one cell spans many pages); the leaf
-    // capacity here keeps cells multi-page relative to the per-timestamp
-    // region blocks of PI/TPI, matching that cell-to-page ratio.
     val t2 = System.nanoTime()
-    val ts = new TrajStoreIndex(data.bbox, trajStoreDiskLeaf)
+    val ts = new TrajStoreIndex(data.bbox, TrajStoreDiskLeaf)
     for (t <- 1 to data.len; (id, p) <- data.pointsAt(t)) ts.insert(id, t, p)
     val tsBuildMs = (System.nanoTime() - t2) / 1000000
     val leaves = ts.leaves.toIndexedSeq
     val leafIdx = new java.util.IdentityHashMap[AnyRef, Integer]()
-    leaves.zipWithIndex.foreach { case (l, i) => leafIdx.put(l, i) }
-    val tsLayout = new DiskSim.Layout[Int](pageBytes)
-    leaves.zipWithIndex.foreach { case (l, i) => tsLayout.add(i, l.pts.length) }
+    val tsLayout = new DiskSim.Layout[Int](PageBytes)
+    leaves.zipWithIndex.foreach { case (l, i) => leafIdx.put(l, i); tsLayout.add(i, l.pts.length) }
     val tsStats = DiskSim.runQueries[Int](queries, { case (p, _) =>
       Option(leafIdx.get(ts.leafOf(p))).map(_.intValue)
     }, tsLayout)
@@ -329,23 +281,24 @@ object CompressionEval {
   final case class Row(devM: Double, restMatched: Double, restCold: Double,
                        ppqABasic: Double, ppqSBasic: Double)
 
-  def run(devsM: Seq[Double], base: Int = 300, len: Int = 120, seed: Long = 44): Seq[Row] = {
-    val (targets, refs) = repro.data.TrajGen.subPorto(base = base, len = len, seed = seed)
-    val coldRefs = repro.data.TrajGen.portoLike(base * 4, len, seed = seed + 100).trajs
+  private val Seed = 44L // sub-Porto generator seed; cold refs use Seed + 100
+
+  def run(devsM: Seq[Double], base: Int = 300, len: Int = 120): Seq[Row] = {
+    val (targets, refs) = repro.data.TrajGen.subPorto(base = base, len = len, seed = Seed)
+    val coldRefs = repro.data.TrajGen.portoLike(base * 4, len, seed = Seed + 100).trajs
     val bbox = Rect.bounding(targets.flatten)
     val data = TrajDataset("sub-porto", targets.toIndexedSeq, bbox)
     devsM.map { dev =>
       val devDeg = Geo.toDegrees(dev)
-      def ppqRatio(mode: PartitionMode): Double = {
-        val cfg = EvalConfig.porto
-        val enc = new PpqEncoder(cfg.params(mode, useCqc = false).copy(eps1 = devDeg))
+      def ppqRatio(name: String): Double = {
+        val enc = new PpqEncoder(Methods.ppq.find(_.name == name).get.boundedParams(EvalConfig.porto, devDeg))
         for (t <- 1 to data.len) enc.step(t, data.pointsAt(t))
         enc.compressionRatio
       }
       Row(dev,
         Rest.compressionRatio(targets, refs, devDeg),
         Rest.compressionRatio(targets, coldRefs, devDeg),
-        ppqRatio(PartitionMode.Autocorr), ppqRatio(PartitionMode.Spatial))
+        ppqRatio("PPQ-A-basic"), ppqRatio("PPQ-S-basic"))
     }
   }
 

@@ -42,8 +42,6 @@ final class BitReader(bytes: Array[Byte]) {
     }
     v
   }
-
-  def bitPosition: Long = pos
 }
 
 /** Canonical-enough Huffman coder over Int symbols, used to compress the

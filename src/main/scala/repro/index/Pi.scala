@@ -92,7 +92,6 @@ final class PiIndex(val gc: Double) {
     out.distinct.toArray
   }
 
-  def postingCount: Int = postings.size
   def allPostings: Iterator[((Int, Int, Int, Int), Array[Int])] = postings.iterator
   def timestamps: Set[Int] = postings.keysIterator.map(_._4).toSet
 

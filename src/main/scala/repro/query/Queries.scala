@@ -75,11 +75,11 @@ object Queries {
   }
 
   /** Queries sampled at actual trajectory positions (so truth is nonempty). */
-  def sampleQueries(data: TrajDataset, nQ: Int, seed: Long, tMin: Int = 1): Seq[Strq] = {
+  def sampleQueries(data: TrajDataset, nQ: Int, seed: Long): Seq[Strq] = {
     val rng = new Random(seed)
     Seq.fill(nQ) {
       val i = rng.nextInt(data.numTrajs)
-      val t = tMin + rng.nextInt(data.len - tMin + 1)
+      val t = 1 + rng.nextInt(data.len)
       val p = data.point(i, t)
       Strq(p.x, p.y, t)
     }

@@ -26,7 +26,8 @@ class GoldenHashSpec extends AnyFunSuite {
   private def encode(data: TrajDataset, params: PpqParams): String = {
     val enc = new PpqEncoder(params)
     val f = new Fingerprint
-    for (t <- 1 to data.len; cp <- enc.step(t, data.pointsAt(t))) {
+    val codesAt = (1 to data.len).map(t => t -> enc.step(t, data.pointsAt(t))).toMap
+    for (t <- 1 to data.len; cp <- codesAt(t)) {
       f.long(cp.trajId); f.long(cp.t); f.long(cp.part); f.long(cp.b)
       f.long(cp.cqcBits); f.long(cp.cqcLen); f.pt(cp.recon); f.pt(cp.refined)
     }
@@ -34,7 +35,8 @@ class GoldenHashSpec extends AnyFunSuite {
     f.long(enc.summaryBits)
     for (s <- enc.steps) {
       f.long(s.t); f.long(s.numParts)
-      for ((id, part) <- s.assign.toSeq.sorted) { f.long(id); f.long(part) }
+      // each step's point→partition pairs, sorted, as the summary once stored them
+      for ((id, part) <- codesAt(s.t).map(cp => (cp.trajId, cp.part)).sorted) { f.long(id); f.long(part) }
       for ((part, cs) <- s.coeffs.toSeq.sortBy(_._1)) { f.long(part); cs.foreach(f.double) }
     }
     f.hex

@@ -81,11 +81,9 @@ class PpqEngineSpec extends AnyFunSuite {
   test("steps record one summary per timestamp with coefficients for every used partition") {
     val (data, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Spatial, epsP = 0.05))
     assert(enc.steps.map(_.t).toSeq == (1 to data.len))
-    for (cp <- codes) {
-      val s = enc.steps(cp.t - 1)
-      assert(s.coeffs.contains(cp.part))
-      assert(s.assign(cp.trajId) == cp.part)
-    }
+    for (cp <- codes) assert(enc.steps(cp.t - 1).coeffs.contains(cp.part))
+    val partsAt = codes.groupBy(_.t).map { case (t, cs) => t -> cs.map(_.part).distinct.size }
+    for (s <- enc.steps) assert(s.numParts == partsAt(s.t), s"t=${s.t}")
   }
 
   test("t <= k points are quantized with zero prediction (Alg. 1)") {

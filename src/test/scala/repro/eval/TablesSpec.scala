@@ -109,6 +109,29 @@ class TablesSpec extends AnyFunSuite {
     assert(r1000.codewords < r200.codewords)
   }
 
+  test("method table: Table 4 rows are the fixed-bits suite, Tables 5/6 the paper's nine rows") {
+    val paperOrder = Seq("PPQ-A", "PPQ-A-basic", "PPQ-S", "PPQ-S-basic", "E-PQ",
+      "Q-trajectory", "Residual Quantization", "Product Quantization", "TrajStore")
+    val table4 = Table4.run(tiny, cfg, bitsRange = Seq(5), nQueries = 5).map(_.method)
+    assert(table4 == PerTimestep.allFixedBits(tiny, 5, cfg).map(_.name))
+    assert(table4 == paperOrder.init)
+    assert(Table56.methods == paperOrder)
+  }
+
+  test("Table 5/6: each baseline's summary size matches its storage formula") {
+    val n = tiny.numPoints
+    // The per-method formulas as Table56.runOne computed them inline.
+    val reference: Seq[(String, Int => Long)] = Seq(
+      "Q-trajectory" -> (w => w.toLong * 128 + n * MathUtil.ceilLog2(math.max(w, 2))),
+      "Residual Quantization" -> (w => w.toLong * 128 + n * 2 * MathUtil.ceilLog2(math.max(w / 2, 2))),
+      "Product Quantization" -> (w => w.toLong * 64 + n * 2 * MathUtil.ceilLog2(math.max(w / 2, 2))),
+      "TrajStore" -> (w => w.toLong * 128 + n * MathUtil.ceilLog2(math.max(w, 2))))
+    for ((m, bits) <- reference; dev <- Seq(200.0, 1000.0)) {
+      val r = Table56.runOne(m, tiny, dev, cfg)
+      assert(r.codewords > 0 && r.summaryBits == bits(r.codewords.toInt), s"$m at ${dev}m")
+    }
+  }
+
   test("Table 7/8: TPI sweeps produce monotone-ish period counts and render") {
     val rows = Table78.sweepEpsD(tiny, Seq(0.2, 0.8), 0.5, cfg)
     assert(rows.length == 2)
