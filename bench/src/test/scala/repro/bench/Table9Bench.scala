@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.eval._
 
 /** Table 9: disk-based index performance — TPI vs per-timestamp PI vs
-  * TrajStore over the simulated 1 MB-page store. */
+  * TrajStore over the simulated store of 8 KiB pages. */
 class Table9Bench extends AnyFunSuite {
 
   test("Table 9 — disk-based index performance") {

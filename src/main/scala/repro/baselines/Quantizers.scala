@@ -62,13 +62,13 @@ object ProductQuantization {
 }
 
 /** Residual Quantization [8]: a coarse first stage followed by a residual
-  * stage. Error-bounded variant bounds stage 1 at `coarseFactor`·eps and
-  * stage 2 at eps (so the final deviation is ≤ eps); fixed-budget variant
-  * splits the codeword budget evenly across the two stages. */
+  * stage. Error-bounded variant bounds stage 1 at 8·eps and stage 2 at eps
+  * (so the final deviation is ≤ eps); fixed-budget variant splits the
+  * codeword budget evenly across the two stages. */
 object ResidualQuantization {
 
-  final class Bounded(epsDeg: Double, coarseFactor: Double = 8.0) extends BoundedQuantizer {
-    private val stage1 = new ErrorBoundedCodebook(epsDeg * coarseFactor)
+  final class Bounded(epsDeg: Double) extends BoundedQuantizer {
+    private val stage1 = new ErrorBoundedCodebook(epsDeg * 8.0)
     private val stage2 = new ErrorBoundedCodebook(epsDeg)
     def quantize(p: Pt): Pt = {
       val c1 = stage1(stage1.quantize(p))

@@ -49,7 +49,7 @@ object Partitioner {
   * partitions whose centroids come within ε_p are merged, each at most
   * once per update (the paper's fragmentation guard). A new trajectory
   * joins the nearest live partition, the first one listed on a tie. */
-final class IncrementalPartitioner(epsP: Double, growth: Int = 4, seed: Long = 13) {
+final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
   import KMeans.dist
 
   private val assignOf = mutable.HashMap.empty[Int, Int]   // trajId -> partition id
@@ -148,7 +148,7 @@ final class IncrementalPartitioner(epsP: Double, growth: Int = 4, seed: Long = 1
         m += 1
       } else {
         val vs = Array.tabulate(until - from)(j => vecs(gIdx(from + j)))
-        val r = Partitioner.partitionByThreshold(vs, epsP, growth, seed = seed + round)
+        val r = Partitioner.partitionByThreshold(vs, epsP, seed = seed + round) // q grows by the default a = 4
         val local = Array.fill(r.centroids.length)(-1)
         val m0 = m
         j = 0

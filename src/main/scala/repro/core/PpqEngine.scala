@@ -21,9 +21,6 @@ final case class PpqParams(
     gs: Option[Double] = Some(50.0 / Geo.MetersPerDegree),
     mode: PartitionMode = PartitionMode.Autocorr,
     epsP: Double = 0.01,
-    predict: Boolean = true,
-    arWindow: Int = 12,
-    partGrowth: Int = 4,
     seed: Long = 17) extends Serializable
 
 /** Per-point output of the encoder. `recon` is the codebook reconstruction
@@ -34,9 +31,9 @@ final case class CodedPoint(
     recon: Pt, refined: Pt) extends Serializable
 
 /** Per-timestamp slice of the summary needed for decoding: the prediction
-  * coefficients of each partition and the partition count. Each point's
-  * partition travels in its `CodedPoint.part`. */
-final case class StepSummary(t: Int, coeffs: Map[Int, Array[Double]], numParts: Int)
+  * coefficients of each partition present at t. Each point's partition
+  * travels in its `CodedPoint.part`. */
+final case class StepSummary(t: Int, coeffs: Map[Int, Array[Double]])
 
 /** How the encoder builds its codebook C. Alg. 1 grows one error-bounded
   * codebook over the whole stream; the equal-budget protocol of Tables 2–4
@@ -70,13 +67,11 @@ final class ReconHistory(params: PpqParams) {
       case _ => Array.empty
     }
 
-  /** Whether prediction is on and `h` (from `of`) holds k points. */
-  def ready(h: Array[Pt]): Boolean = params.predict && h.length == params.k
+  /** Whether `h` (from `of`) holds k points. */
+  def ready(h: Array[Pt]): Boolean = h.length == params.k
 
-  /** P_j[t] applied to `h`, or 0 when `h` is not ready (t ≤ k in Alg. 1).
-    * `coeffs` is read only when `h` is ready: without prediction a step
-    * stores no coefficients. */
-  def predict(coeffs: => Array[Double], h: Array[Pt]): Pt =
+  /** P_j[t] applied to `h`, or 0 when `h` is not ready (t ≤ k in Alg. 1). */
+  def predict(coeffs: Array[Double], h: Array[Pt]): Pt =
     if (ready(h)) Predictor.predict(coeffs, h) else Pt(0.0, 0.0)
 
   def add(id: Int, recon: Pt): Unit = {
@@ -93,9 +88,11 @@ final class PredictiveFrontend(val params: PpqParams) {
   private val history = new ReconHistory(params)
   private val raw = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]]  // raw, for AR features
   private val keepRaw = params.mode == PartitionMode.Autocorr  // the only mode that reads `raw`
-  private val partitioner = new IncrementalPartitioner(params.epsP, params.partGrowth, params.seed)
+  private val partitioner = new IncrementalPartitioner(params.epsP, params.seed)
 
-  final case class Plan(assign: Array[Int], coeffs: Map[Int, Array[Double]], preds: Array[Pt], numParts: Int)
+  final case class Plan(assign: Array[Int], coeffs: Map[Int, Array[Double]], preds: Array[Pt]) {
+    def numParts: Int = coeffs.size
+  }
 
   def numPartitions: Int = partitioner.numPartitions
 
@@ -107,7 +104,7 @@ final class PredictiveFrontend(val params: PpqParams) {
         partitioner.update(ids, points.map { case (_, p) => Array(p.x, p.y) })
       case PartitionMode.Autocorr =>
         partitioner.update(ids, points.map { case (id, _) =>
-          Predictor.arFeatures(raw.getOrElse(id, mutable.ArrayBuffer.empty[Pt]), params.k, params.arWindow)
+          Predictor.arFeatures(raw.getOrElse(id, mutable.ArrayBuffer.empty[Pt]), params.k, PredictiveFrontend.ArWindow)
         })
     }
     // Visit points grouped by partition, in increasing index within each
@@ -116,27 +113,23 @@ final class PredictiveFrontend(val params: PpqParams) {
     val byPart = Array.tabulate(n)(i => (assign(i).toLong << 32) | i)
     java.util.Arrays.sort(byPart)
     val coeffs = Map.newBuilder[Int, Array[Double]]
-    val preds = Array.fill(n)(Pt(0.0, 0.0))
-    var numParts = 0
+    val preds = new Array[Pt](n)
     var from = 0
     while (from < n) {
       val part = (byPart(from) >>> 32).toInt
       var until = from
       while (until < n && (byPart(until) >>> 32).toInt == part) until += 1
-      if (params.predict) {
-        val members = Array.tabulate(until - from)(j => byPart(from + j).toInt)
-        val hs = members.map(i => history.of(points(i)._1))
-        val ready = members.indices.filter(j => history.ready(hs(j))).toArray
-        val c =
-          if (ready.nonEmpty) Predictor.fit(ready.map(j => hs(j)), ready.map(j => points(members(j))._2), params.k)
-          else new Array[Double](params.k)
-        coeffs += part -> c
-        members.indices.foreach(j => preds(members(j)) = history.predict(c, hs(j)))
-      }
-      numParts += 1
+      val members = Array.tabulate(until - from)(j => byPart(from + j).toInt)
+      val hs = members.map(i => history.of(points(i)._1))
+      val ready = members.indices.filter(j => history.ready(hs(j))).toArray
+      val c =
+        if (ready.nonEmpty) Predictor.fit(ready.map(j => hs(j)), ready.map(j => points(members(j))._2), params.k)
+        else new Array[Double](params.k)
+      coeffs += part -> c
+      members.indices.foreach(j => preds(members(j)) = history.predict(c, hs(j)))
       from = until
     }
-    Plan(assign, coeffs.result(), preds, numParts)
+    Plan(assign, coeffs.result(), preds)
   }
 
   /** Record this step's codebook reconstructions — they drive the next
@@ -150,23 +143,27 @@ final class PredictiveFrontend(val params: PpqParams) {
       if (keepRaw) {
         val rb = raw.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
         rb += rp
-        if (rb.length > params.arWindow + params.k + 2) rb.remove(0)
+        if (rb.length > PredictiveFrontend.ArWindow + params.k + 2) rb.remove(0)
       }
       i += 1
     }
   }
 }
 
+object PredictiveFrontend {
+  private[core] val ArWindow = 12 // raw points per trajectory the AR features are fitted over
+}
+
 /** Algorithm 1 + §3.2: the online partition-wise predictive quantizer,
-  * with CQC refinement when g_s is set. Feed timestamps in increasing order
-  * via `step`. `policy` chooses how C is built; under the default `Global`
-  * policy the summary ({P_j[t]}, C, {b_i^t}, CQC) is exposed through
-  * `codebook`, `steps` and the returned codes, and
-  * `PpqDecoder.reconstruct` replays it byte-exactly. The per-step policies
-  * serve the equal-budget Tables 2 and 4. */
+  * with CQC refinement when g_s is set. Feed timestamps in strictly
+  * increasing order via `step`. `policy` chooses how C is built; under the
+  * default `Global` policy the summary ({P_j[t]}, C, {b_i^t}, CQC) is
+  * exposed through `codebook`, `steps` and the returned codes, and
+  * `PpqDecoder.reconstruct` replays it, in t order, byte-exactly. The
+  * per-step policies serve the equal-budget Tables 2 and 4. */
 final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookPolicy.Global) {
   private var cb = new ErrorBoundedCodebook(params.eps1)
-  val quadtree: Option[CoordinateQuadtree] =
+  private val quadtree: Option[CoordinateQuadtree] =
     params.gs.map(g => new CoordinateQuadtree(Cqc.sideFor(params.eps1, g)))
   private val frontend = new PredictiveFrontend(params)
   /** The per-step slices the decoder needs; recorded under `Global` only,
@@ -175,6 +172,7 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
   var nPoints = 0L
   var cqcBitsTotal = 0L
   private var assignBitsTotal = 0L
+  private var lastT: Option[Int] = None
 
   def numPartitions: Int = frontend.numPartitions
 
@@ -187,6 +185,7 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
   }
 
   def step(t: Int, points: Array[(Int, Pt)]): Array[CodedPoint] = {
+    require(lastT.forall(t > _), s"timestamp t=$t does not follow the previous step's t=${lastT.get}")
     val n = points.length
     var i = 0
     while (i < n) {
@@ -195,6 +194,7 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
         throw new IllegalArgumentException(s"trajectory ${points(i)._1} at t=$t has a non-finite point $p")
       i += 1
     }
+    lastT = Some(t)
     val plan = frontend.plan(t, points)
     val (bs, word) = quantize(t, Array.tabulate(n)(i => points(i)._2 - plan.preds(i)))
     val out = new Array[CodedPoint](n)
@@ -220,7 +220,7 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
     nPoints += n
     assignBitsTotal += n.toLong * MathUtil.ceilLog2(math.max(plan.numParts, 2))
     if (policy == CodebookPolicy.Global)
-      steps += StepSummary(t, plan.coeffs, plan.numParts)
+      steps += StepSummary(t, plan.coeffs)
     out
   }
 

@@ -47,8 +47,8 @@ object Predictor {
   /** Least-squares coefficients P (length k) minimising
     * Σ_i ||target(i) − Σ_j P(j)·hist(i)(j)||₂² where hist(i)(j) is the j-th
     * most recent reconstructed point of sample i. Ridge-regularised normal
-    * equations keep near-collinear histories stable. */
-  def fit(hist: Array[Array[Pt]], target: Array[Pt], k: Int, ridge: Double = 1e-8): Array[Double] = {
+    * equations (1e-8 on the diagonal) keep near-collinear histories stable. */
+  def fit(hist: Array[Array[Pt]], target: Array[Pt], k: Int): Array[Double] = {
     val m = Array.ofDim[Double](k, k)
     val v = new Array[Double](k)
     var i = 0
@@ -64,7 +64,7 @@ object Predictor {
       i += 1
     }
     var d = 0
-    while (d < k) { m(d)(d) += ridge; d += 1 }
+    while (d < k) { m(d)(d) += 1e-8; d += 1 }
     solve(m, v)
   }
 

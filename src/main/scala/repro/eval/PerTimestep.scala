@@ -13,17 +13,17 @@ final case class MethodRun(name: String,
                            vPerT: Map[Int, Int],
                            boundRadiusDeg: Option[Double])
 
-/** Shared experiment configuration (defaults follow §6.1). */
+/** Shared experiment configuration (values follow §6.1). */
 final case class EvalConfig(
-    k: Int = 2,
-    eps1: Double = 0.001,                       // ≈ 111 m
-    gsDeg: Double = Geo.toDegrees(50.0),        // CQC grid
-    gcDeg: Double = Geo.toDegrees(100.0),       // index grid
     spatialEpsP: Double = 0.05,                 // ε_p, spatial partitions
-    autocorrEpsP: Double = 0.05,                // ε_p, AR-coefficient partitions
-    epsS: Double = 0.1,                         // ε_s, index partition threshold
-    trajStoreLeaf: Int = 1500,
-    seed: Long = 7) {
+    epsS: Double = 0.1) {                       // ε_s, index partition threshold
+  val k = 2
+  val eps1 = 0.001                              // ≈ 111 m
+  val gsDeg: Double = Geo.toDegrees(50.0)       // CQC grid
+  val gcDeg: Double = Geo.toDegrees(100.0)      // index grid
+  val autocorrEpsP = 0.05                       // ε_p, AR-coefficient partitions
+  val trajStoreLeaf = 1500
+  val seed = 7L
   def cqcRadiusDeg: Double = math.sqrt(2.0) / 2.0 * gsDeg
   def params(mode: PartitionMode, useCqc: Boolean): PpqParams =
     PpqParams(k = k, eps1 = eps1, gs = if (useCqc) Some(gsDeg) else None, mode = mode,
@@ -35,7 +35,7 @@ final case class EvalConfig(
 
 object EvalConfig {
   def porto: EvalConfig = EvalConfig()
-  def geolife: EvalConfig = EvalConfig(spatialEpsP = 0.5, autocorrEpsP = 0.05, epsS = 0.5)
+  def geolife: EvalConfig = EvalConfig(spatialEpsP = 0.5, epsS = 0.5)
 }
 
 /** Per-timestamp pipelines for the equal-codeword-budget protocol of

@@ -174,7 +174,7 @@ object Table78 {
 
 /** Table 9: disk-based index comparison (TPI vs per-timestamp PI vs
   * TrajStore) — size, I/Os, response time, build time over the simulated
-  * 1 MB-page store. */
+  * store of `PageBytes` pages. */
 object Table9 {
   final case class Row(method: String, sizeMB: Double, ios: Long, respMs: Long, buildMs: Long)
 
@@ -251,9 +251,7 @@ object Table9 {
     }, tsLayout)
     // TrajStore index size: per-(leaf, t) compressed id postings + leaf rects.
     val tsPostings = leaves.flatMap(l => l.pts.groupBy(_._2).values.map(_.map(_._1).toArray.sorted))
-    val tsTable = IdCodec.buildTable(tsPostings)
-    val tsSizeBits = tsTable.tableBits + leaves.length.toLong * 4 * 64 +
-      tsPostings.map(p => IdCodec.encode(p, tsTable).bitLen + 32).sum
+    val tsSizeBits = IdCodec.indexBits(tsPostings, leaves.length)
 
     Seq(
       Row("TPI", tpi.sizeMB, tpiStats.ios, tpiStats.responseMillis, tpiBuildMs),

@@ -55,7 +55,6 @@ object Huffman {
   final case class Branch(l: Node, r: Node, weight: Long, order: Int) extends Node
 
   final case class Table(root: Node, codeOf: Map[Int, (Long, Int)]) {
-    def symbols: Int = codeOf.size
     /** Approximate serialized table cost: 32-bit symbol + 8-bit length each. */
     def tableBits: Long = codeOf.size.toLong * 40
   }
@@ -131,6 +130,15 @@ object IdCodec {
     val w = new BitWriter
     gapSymbols(sortedIds).foreach(Huffman.encodeSym(w, table, _))
     Encoded(w.toBytes, w.lengthBits, sortedIds.length)
+  }
+
+  /** Index size: one code table for all `postings`, each posting's code plus
+    * a 32-bit count header, and 4×64 bits per rectangle (alone if no postings). */
+  def indexBits(postings: Iterable[Array[Int]], rects: Int): Long = {
+    val rectBits = rects.toLong * 4 * 64
+    if (postings.isEmpty) return rectBits
+    val table = buildTable(postings)
+    table.tableBits + rectBits + postings.iterator.map(p => encode(p, table).bitLen + 32).sum
   }
 
   def decode(e: Encoded, table: Huffman.Table): Array[Int] = {

@@ -93,17 +93,9 @@ final class PiIndex(val gc: Double) {
   }
 
   def allPostings: Iterator[((Int, Int, Int, Int), Array[Int])] = postings.iterator
-  def timestamps: Set[Int] = postings.keysIterator.map(_._4).toSet
 
-  /** Compressed size: Huffman-coded postings + one shared code table +
-    * per-posting 32-bit count headers + region rectangles. */
-  def sizeBits: Long = {
-    if (postings.isEmpty) return regions.length.toLong * 4 * 64
-    val table = IdCodec.buildTable(postings.valuesIterator.toIterable)
-    var bits = table.tableBits + regions.length.toLong * 4 * 64
-    for (ids <- postings.valuesIterator) bits += IdCodec.encode(ids, table).bitLen + 32
-    bits
-  }
+  /** Compressed size of the postings and the region rectangles. */
+  def sizeBits: Long = IdCodec.indexBits(postings.values, regions.length)
 }
 
 /** Algorithm 3: build a PI over the points of one timestamp. */

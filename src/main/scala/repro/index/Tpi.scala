@@ -10,8 +10,8 @@ import scala.collection.mutable
   * stays within ε_d, "Insertion"-extends it for uncovered points, and
   * "Re-build"s a fresh PI (closing the time period) when ADR exceeds ε_d.
   */
-final class TpiIndex(val epsS: Double, val gc: Double, val epsC: Double, val epsD: Double,
-                     seed: Long = 29) {
+final class TpiIndex(val epsS: Double, val gc: Double, val epsC: Double, val epsD: Double) {
+  private val seed = 29L // partitioning seed of the first PI; later builds add the step count
 
   final case class Period(start: Int, var end: Int, pi: PiIndex)
 

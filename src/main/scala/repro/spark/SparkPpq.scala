@@ -53,13 +53,15 @@ object SparkPpq {
     groups.ids.zip(groups.groups).toSeq.toDF("traj_id", "group")
   }
 
+  private val GroupCellDeg = 0.05 // grid cell side (degrees) `buildSummary` and `groupStats` group by
+
   /** Build per-group PPQ summaries. `points` must have columns
     * (traj_id INT, t INT, x DOUBLE, y DOUBLE). The summary has `numGroups`
     * partitions; partition g holds group g. */
   def buildSummary(spark: SparkSession, points: DataFrame, params: PpqParams,
-                   numGroups: Int = 8, groupCellDeg: Double = 0.05): Dataset[SummaryRow] = {
+                   numGroups: Int = 8): Dataset[SummaryRow] = {
     import spark.implicits._
-    encodeGroups(spark, points, params, numGroups, groupCellDeg) { (g, _, codes) =>
+    encodeGroups(spark, points, params, numGroups) { (g, _, codes) =>
       codes.iterator.map(cp => SummaryRow(g, cp.trajId, cp.t, cp.part, cp.b, cp.cqcBits, cp.cqcLen,
                                           cp.refined.x, cp.refined.y))
     }
@@ -67,9 +69,9 @@ object SparkPpq {
 
   /** Per-group codebook statistics via a second deterministic pass. */
   def groupStats(spark: SparkSession, points: DataFrame, params: PpqParams,
-                 numGroups: Int = 8, groupCellDeg: Double = 0.05): Dataset[GroupStats] = {
+                 numGroups: Int = 8): Dataset[GroupStats] = {
     import spark.implicits._
-    encodeGroups(spark, points, params, numGroups, groupCellDeg) { (g, enc, _) =>
+    encodeGroups(spark, points, params, numGroups) { (g, enc, _) =>
       Iterator.single(GroupStats(g, enc.codebook.size, enc.nPoints, enc.summaryBits))
     }
   }
@@ -139,9 +141,9 @@ object SparkPpq {
     * then one `PpqEncoder` per non-empty group; hands `emit` the group, its
     * encoder and its codes. */
   private def encodeGroups[T: Encoder: ClassTag](spark: SparkSession, points: DataFrame, params: PpqParams,
-                                                 numGroups: Int, groupCellDeg: Double)(
+                                                 numGroups: Int)(
       emit: (Int, PpqEncoder, Array[CodedPoint]) => Iterator[T]): Dataset[T] = {
-    val groups = groupMap(points, groupCellDeg, numGroups)
+    val groups = groupMap(points, GroupCellDeg, numGroups)
     val blocks = points
       .select(col("traj_id").cast("int"), col("t").cast("int"), col("x").cast("double"), col("y").cast("double"))
       .queryExecution.toRdd.mapPartitions { rows =>
@@ -191,12 +193,11 @@ object SparkPpq {
     out.result()
   }
 
-  /** Attach g_c grid-cell columns to a summary (or raw) DataFrame whose
-    * position columns are (`xCol`, `yCol`). */
-  def withCells(df: DataFrame, gc: Double, originX: Double, originY: Double,
-                xCol: String = "xr", yCol: String = "yr"): DataFrame =
-    df.withColumn("cell_x", floor((col(xCol) - originX) / gc).cast("long"))
-      .withColumn("cell_y", floor((col(yCol) - originY) / gc).cast("long"))
+  /** Attach g_c grid-cell columns of the refined position (`xr`, `yr`) to
+    * a summary DataFrame. */
+  def withCells(df: DataFrame, gc: Double, originX: Double, originY: Double): DataFrame =
+    df.withColumn("cell_x", floor((col("xr") - originX) / gc).cast("long"))
+      .withColumn("cell_y", floor((col("yr") - originY) / gc).cast("long"))
 
   /** Approximate STRQ: filter the indexed summary on (t, cell). */
   def strq(indexed: DataFrame, x: Double, y: Double, t: Int, gc: Double,

@@ -2,6 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import repro.data.TrajGen
 import scala.util.Random
 
 class QuantizersSpec extends AnyFunSuite {
@@ -31,6 +32,15 @@ class QuantizersSpec extends AnyFunSuite {
       val q = new ResidualQuantization.Bounded(0.05)
       for (p <- cloud(seed + 20)) assert(q.quantize(p).dist(p) <= 0.05 + 1e-12)
     }
+
+  test("Q-trajectory bounded stores raw-space codewords inside the bbox") {
+    val data = TrajGen.portoLike(n = 40, len = 30, seed = 5)
+    val q = new QTrajectory.Bounded(0.001)
+    for (t <- 1 to data.len; (_, p) <- data.pointsAt(t)) assert(q.quantize(p).dist(p) <= 0.001 + 1e-12)
+    // raw-space codewords live inside the dataset bbox neighbourhood
+    for (w <- q.codebook.codewords)
+      assert(data.bbox.x0 - 0.01 <= w.x && w.x <= data.bbox.x1 + 0.01)
+  }
 
   test("PQ stores fewer codewords than Q-trajectory on a 2-D grid of data") {
     val pts = cloud(31, n = 4000, span = 2.0)

@@ -34,7 +34,7 @@ class GoldenHashSpec extends AnyFunSuite {
     enc.codebook.codewords.foreach(f.pt)
     f.long(enc.summaryBits)
     for (s <- enc.steps) {
-      f.long(s.t); f.long(s.numParts)
+      f.long(s.t); f.long(s.coeffs.size)
       // each step's point→partition pairs, sorted, as the summary once stored them
       for ((id, part) <- codesAt(s.t).map(cp => (cp.trajId, cp.part)).sorted) { f.long(id); f.long(part) }
       for ((part, cs) <- s.coeffs.toSeq.sortBy(_._1)) { f.long(part); cs.foreach(f.double) }

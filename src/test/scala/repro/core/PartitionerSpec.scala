@@ -145,10 +145,10 @@ class PartitionerSpec extends AnyFunSuite {
   test("incremental: Porto-like seed 1010 reaches the round cap at t = 5") {
     val data = TrajGen.portoLike(1600, 50, 1010)
     val params = EvalConfig.porto.params(PartitionMode.Autocorr, useCqc = true)
-    val ip = new IncrementalPartitioner(params.epsP, params.partGrowth, params.seed)
+    val ip = new IncrementalPartitioner(params.epsP, params.seed)
     val ids = Array.range(0, data.numTrajs)
     for (t <- 1 to 5) {
-      val feats = ids.map(i => Predictor.arFeatures((1 until t).map(data.point(i, _)), params.k, params.arWindow))
+      val feats = ids.map(i => Predictor.arFeatures((1 until t).map(data.point(i, _)), params.k, PredictiveFrontend.ArWindow))
       ip.update(ids, feats)
       assert(ip.cappedSplits == (if (t < 5) 0 else 1), s"t=$t")
     }

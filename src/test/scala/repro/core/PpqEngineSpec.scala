@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.QTrajectory
 import repro.data.{TrajDataset, TrajGen}
 import scala.util.Random
 
@@ -20,8 +21,7 @@ class PpqEngineSpec extends AnyFunSuite {
     "PPQ-A-basic" -> PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05, gs = None),
     "PPQ-S" -> PpqParams(mode = PartitionMode.Spatial, epsP = 0.05),
     "PPQ-S-basic" -> PpqParams(mode = PartitionMode.Spatial, epsP = 0.05, gs = None),
-    "E-PQ" -> PpqParams(mode = PartitionMode.Single, gs = None),
-    "Q-trajectory" -> PpqParams(mode = PartitionMode.Single, predict = false, gs = None))
+    "E-PQ" -> PpqParams(mode = PartitionMode.Single, gs = None))
 
   // Def. 3.2: codebook reconstruction within eps1 of the raw point, always.
   for ((name, params) <- allModes)
@@ -56,11 +56,14 @@ class PpqEngineSpec extends AnyFunSuite {
       }
     }
 
+  // Q-trajectory quantizes the raw points in the encoder's (t, id) order:
+  // E-PQ's codebook over the same points with the prediction left out.
   test("prediction shrinks the codebook vs no prediction (the paper's core claim)") {
-    val (_, encPred, _) = runEncoder(PpqParams(mode = PartitionMode.Single, gs = None))
-    val (_, encRaw, _) = runEncoder(PpqParams(mode = PartitionMode.Single, predict = false, gs = None))
-    assert(encPred.codebook.size < encRaw.codebook.size,
-      s"E-PQ ${encPred.codebook.size} vs Q-trajectory ${encRaw.codebook.size}")
+    val (data, encPred, _) = runEncoder(PpqParams(mode = PartitionMode.Single, gs = None))
+    val raw = new QTrajectory.Bounded(encPred.params.eps1)
+    for (t <- 1 to data.len; (_, p) <- data.pointsAt(t)) raw.quantize(p)
+    assert(encPred.codebook.size < raw.codewords,
+      s"E-PQ ${encPred.codebook.size} vs Q-trajectory ${raw.codewords}")
   }
 
   test("partitioned prediction (PPQ) does not exceed E-PQ codebook size by much") {
@@ -83,7 +86,7 @@ class PpqEngineSpec extends AnyFunSuite {
     assert(enc.steps.map(_.t).toSeq == (1 to data.len))
     for (cp <- codes) assert(enc.steps(cp.t - 1).coeffs.contains(cp.part))
     val partsAt = codes.groupBy(_.t).map { case (t, cs) => t -> cs.map(_.part).distinct.size }
-    for (s <- enc.steps) assert(s.numParts == partsAt(s.t), s"t=${s.t}")
+    for (s <- enc.steps) assert(s.coeffs.size == partsAt(s.t), s"t=${s.t}")
   }
 
   test("t <= k points are quantized with zero prediction (Alg. 1)") {
@@ -98,17 +101,6 @@ class PpqEngineSpec extends AnyFunSuite {
     }
   }
 
-  test("Q-trajectory mode (predict=false) stores raw-space codewords") {
-    val (data, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Single, predict = false, gs = None))
-    for (cp <- codes.take(100)) {
-      val raw = data.point(cp.trajId, cp.t)
-      assert(enc.codebook(cp.b).dist(raw) <= 0.001 + 1e-12)
-    }
-    // raw-space codewords live inside the dataset bbox neighbourhood
-    for (w <- enc.codebook.codewords)
-      assert(data.bbox.x0 - 0.01 <= w.x && w.x <= data.bbox.x1 + 0.01)
-  }
-
   test("deterministic: two identical runs produce identical codebooks and codes") {
     val params = PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05)
     val (_, e1, c1) = runEncoder(params)
@@ -121,7 +113,7 @@ class PpqEngineSpec extends AnyFunSuite {
     val data = TrajGen.geolifeLike(n = 30, len = 40, seed = 11)
     val enc = new PpqEncoder(PpqParams(mode = PartitionMode.Autocorr, epsP = 0.01, gs = None))
     for (t <- 1 to data.len) enc.step(t, data.pointsAt(t))
-    assert(enc.steps.map(_.numParts).max > 1)
+    assert(enc.steps.map(_.coeffs.size).max > 1)
   }
 
   test("spatial mode tracks moving partitions without unbounded growth") {
@@ -129,7 +121,7 @@ class PpqEngineSpec extends AnyFunSuite {
     val enc = new PpqEncoder(PpqParams(mode = PartitionMode.Spatial, epsP = 0.05, gs = None))
     for (t <- 1 to data.len) enc.step(t, data.pointsAt(t))
     assert(enc.numPartitions <= data.numTrajs)
-    assert(enc.steps.last.numParts >= 1)
+    assert(enc.steps.last.coeffs.size >= 1)
   }
 
   /** `data`'s points at t, with trajectory 1's point replaced by `bad`. */
@@ -153,6 +145,21 @@ class PpqEngineSpec extends AnyFunSuite {
       assert(codes ++ after == (1 to data.len).flatMap(t => fresh.step(t, data.pointsAt(t))))
       assert(enc.codebook.codewords == fresh.codebook.codewords)
     }
+
+  test("a repeated timestamp is rejected and leaves the encoder untouched") {
+    val data = smallData
+    val params = PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05)
+    val enc = new PpqEncoder(params)
+    val codes = (1 to 2).flatMap(t => enc.step(t, data.pointsAt(t)))
+    val e = intercept[IllegalArgumentException](enc.step(2, data.pointsAt(2)))
+    assert(e.getMessage.contains("t=2") && e.getMessage.contains("previous step's t=2"), e.getMessage)
+    intercept[IllegalArgumentException](enc.step(1, data.pointsAt(1)))
+    val after = (3 to data.len).flatMap(t => enc.step(t, data.pointsAt(t)))
+    val fresh = new PpqEncoder(params)
+    assert(codes ++ after == (1 to data.len).flatMap(t => fresh.step(t, data.pointsAt(t))))
+    assert(enc.codebook.codewords == fresh.codebook.codewords)
+    assert(enc.steps.map(_.t) == fresh.steps.map(_.t))
+  }
 
   test("PerStep policy: a fresh codebook at every timestamp, bounded by eps1") {
     val data = smallData
