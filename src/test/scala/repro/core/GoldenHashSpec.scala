@@ -4,7 +4,8 @@ import java.nio.ByteBuffer
 import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{TrajDataset, TrajGen}
-import repro.eval.{EvalConfig, MethodRun, PerTimestep}
+import repro.baselines.{TrajStoreIndex, TrajStoreQuant}
+import repro.eval.{EvalConfig, MethodRun, PerTimestep, Table9}
 import repro.index.Pi
 
 /** Pins the encoder's exact output for fixed seeds. Any change to
@@ -72,6 +73,38 @@ class GoldenHashSpec extends AnyFunSuite {
     () => methodRun(PerTimestep.runPpqFixed(method, data, mode, cqc, v, cfg))
   }
 
+  /** A TrajStore quadtree over a Porto-like stream with a small leaf cap,
+    * plus points on the bbox's upper edges, which no child rect contains. */
+  private def trajStore(maxPerLeaf: Int): (TrajDataset, TrajStoreIndex, Seq[Pt]) = {
+    val data = TrajGen.portoLike(60, 20, 12)
+    val b = data.bbox
+    val ts = new TrajStoreIndex(b, maxPerLeaf)
+    val edge = Seq(Pt(b.x1, (b.y0 + b.y1) / 2), Pt((b.x0 + b.x1) / 2, b.y1), Pt(b.x1, b.y1))
+    for (t <- 1 to data.len) {
+      for ((id, p) <- data.pointsAt(t)) ts.insert(id, t, p)
+      if (t % 5 == 0) for ((p, j) <- edge.zipWithIndex) ts.insert(1000 + j, t, p)
+    }
+    (data, ts, edge)
+  }
+
+  /** Leaf rects and point lists in `leaves` order, then `splitOps`, then
+    * the leaf and the ids `query` finds for each probe. */
+  private def trajStoreHash(ts: TrajStoreIndex, probes: Seq[(Pt, Int)]): String = {
+    val f = new Fingerprint
+    for (leaf <- ts.leaves) {
+      val r = leaf.rect
+      f.double(r.x0); f.double(r.y0); f.double(r.x1); f.double(r.y1); f.long(leaf.pts.length)
+      for ((id, t, p) <- leaf.pts) { f.long(id); f.long(t); f.pt(p) }
+    }
+    f.long(ts.splitOps)
+    for ((p, t) <- probes) {
+      val r = ts.leafOf(p).rect
+      f.double(r.x0); f.double(r.y0); f.double(r.x1); f.double(r.y1)
+      ts.query(p, t).foreach(id => f.long(id))
+    }
+    f.hex
+  }
+
   private def portoSmall = TrajGen.portoLike(200, 20, 11)
   private def geolifeSmall = TrajGen.geolifeLike(100, 30, 44)
 
@@ -124,7 +157,36 @@ class GoldenHashSpec extends AnyFunSuite {
     ("runPpqFixed v=64 PPQ-A-basic geolife 100x30 seed 44", fixed("PPQ-A-basic", geolifeSmall, 64, geolife), "bea94cfe370516c3"),
     ("runPpqFixed v=64 PPQ-S geolife 100x30 seed 44", fixed("PPQ-S", geolifeSmall, 64, geolife), "22d549dad1d2b950"),
     ("runPpqFixed v=64 PPQ-S-basic geolife 100x30 seed 44", fixed("PPQ-S-basic", geolifeSmall, 64, geolife), "7f0d8829b3fa6c8c"),
-    ("runPpqFixed v=64 E-PQ geolife 100x30 seed 44", fixed("E-PQ", geolifeSmall, 64, geolife), "4c2a1d320497350f"))
+    ("runPpqFixed v=64 E-PQ geolife 100x30 seed 44", fixed("E-PQ", geolifeSmall, 64, geolife), "4c2a1d320497350f"),
+    ("TrajStoreIndex porto 60x20 seed 12 leaf 16 with upper-edge points",
+      () => {
+        val (data, ts, edge) = trajStore(16)
+        trajStoreHash(ts, data.pointsAt(10).map { case (_, p) => (p, 10) }.toSeq ++ edge.map(p => (p, 10)))
+      },
+      "dd0ec43d43a04580"),
+    ("TrajStoreQuant.summarizeBounded porto 60x20 seed 12 leaf 16 at 200 m",
+      () => {
+        val (_, ts, _) = trajStore(16)
+        val (recon, words) = TrajStoreQuant.summarizeBounded(ts, Geo.toDegrees(200.0))
+        val f = new Fingerprint
+        for (((id, t), p) <- recon.toSeq.sortBy(_._1)) { f.long(id); f.long(t); f.pt(p) }
+        f.long(words)
+        f.hex
+      },
+      "a772977fc41b2eea"),
+    ("runTrajStore porto 200x20 seed 11",
+      () => methodRun(PerTimestep.runTrajStore("TrajStore", portoSmall, t => 8 + t % 5, porto)), "61938cc8976e2b4d"),
+    ("runTrajStore geolife 100x30 seed 44",
+      () => methodRun(PerTimestep.runTrajStore("TrajStore", geolifeSmall, t => 8 + t % 5, geolife)), "155a186a60fbb88b"),
+    ("Table9.run sizes and I/Os porto 60x20 seed 14",
+      () => {
+        val f = new Fingerprint
+        for (r <- Table9.run(TrajGen.portoLike(60, 20, 14), porto, nQueries = 300)) {
+          r.method.foreach(c => f.long(c)); f.double(r.sizeMB); f.long(r.ios)
+        }
+        f.hex
+      },
+      "94ebb21db970b169"))
 
   for ((name, run, expected) <- cases)
     test(s"golden hash: $name") {

@@ -3,8 +3,9 @@ package repro.query
 import repro.SparkSpec
 import repro.Oracle
 import repro.core._
-import repro.data.TrajGen
+import repro.data.{TrajDataset, TrajGen}
 import scala.util.Random
+import java.lang.Math.{nextDown, nextUp}
 
 class QueriesSpec extends SparkSpec {
 
@@ -66,6 +67,45 @@ class QueriesSpec extends SparkSpec {
       val (p, r) = Queries.precisionRecall(refined, truth)
       assert(p == 1.0 && r == 1.0)
     }
+  }
+
+  test("local search keeps the half-open candidate box at each of its edges") {
+    val radius = math.sqrt(2.0) / 2.0 * Geo.toDegrees(50.0)
+    val q = Queries.sampleQueries(data, 1, seed = 10).head
+    val ox = data.bbox.x0; val oy = data.bbox.y0
+    val cx = math.floor((q.x - ox) / gc).toLong
+    val cy = math.floor((q.y - oy) / gc).toLong
+    val x0 = ox + cx * gc - radius; val x1 = ox + (cx + 1) * gc + radius
+    val y0 = oy + cy * gc - radius; val y1 = oy + (cy + 1) * gc + radius
+    val xm = (x0 + x1) / 2; val ym = (y0 + y1) / 2
+    // (refined point, inside the box): lower edges belong to the box, upper edges do not
+    val probes = Seq(
+      Pt(x0, ym) -> true, Pt(nextDown(x0), ym) -> false, Pt(nextUp(x0), ym) -> true,
+      Pt(x1, ym) -> false, Pt(nextDown(x1), ym) -> true, Pt(nextUp(x1), ym) -> false,
+      Pt(xm, y0) -> true, Pt(xm, nextDown(y0)) -> false, Pt(xm, nextUp(y0)) -> true,
+      Pt(xm, y1) -> false, Pt(xm, nextDown(y1)) -> true, Pt(xm, nextUp(y1)) -> false)
+    val recon = probes.indices.map(i => (i, q.t) -> probes(i)._1).toMap
+    val inside = probes.indices.filter(i => probes(i)._2).toSet
+    assert(Queries.localSearchCandidates(recon, data, q, gc, radius) == inside)
+  }
+
+  test("groundTruth, approxByCell and refineWithRaw place points on cell edges by floor((p - origin) / g_c)") {
+    val q = Queries.sampleQueries(data, 1, seed = 11).head.copy(t = 1)
+    val ox = data.bbox.x0; val oy = data.bbox.y0
+    def cell(p: Pt) = (math.floor((p.x - ox) / gc).toLong, math.floor((p.y - oy) / gc).toLong)
+    val (cx, cy) = cell(Pt(q.x, q.y))
+    // the query cell's edges, exactly and one ulp to either side
+    def around(edge: Double) = Seq(nextDown(edge), edge, nextUp(edge))
+    val xs = Seq(cx, cx + 1).flatMap(c => around(ox + c * gc))
+    val ys = Seq(cy, cy + 1).flatMap(c => around(oy + c * gc))
+    val pts = for (x <- xs; y <- ys) yield Pt(x, y)
+    // trajectory i sits at pts(i) at t = 1, on the same grid as `data`
+    val edges = TrajDataset("cell-edges", pts.map(p => Array(p)).toIndexedSeq, data.bbox)
+    val expected = pts.indices.filter(i => cell(pts(i)) == ((cx, cy))).toSet
+    assert(expected.nonEmpty && expected.size < pts.size)
+    assert(Queries.groundTruth(edges, q, gc) == expected)
+    assert(Queries.approxByCell(pts.indices.map(i => (i, 1) -> pts(i)).toMap, edges, q, gc) == expected)
+    assert(Queries.refineWithRaw(pts.indices.toSet, edges, q, gc) == expected)
   }
 
   test("without local search, bounded perturbations lose recall at cell borders") {
