@@ -5,8 +5,8 @@ import repro.core._
 import repro.data.TrajGen
 import repro.spark.SparkPpq
 
-/** spark-submit entrypoint: run approximate and exact spatio-temporal
-  * range queries against the distributed PPQ summary.
+/** spark-submit entrypoint: run exact spatio-temporal range queries
+  * against the distributed PPQ summary.
   *
   * Usage: StrqJob [numQueries]
   */

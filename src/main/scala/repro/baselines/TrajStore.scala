@@ -8,17 +8,16 @@ import scala.collection.mutable
   * computed per spatial cell — bounded codebooks for the Tables 5/6
   * protocol, or a codeword budget distributed proportionally to cell
   * counts for the Table 2 protocol (as §6.2.1 describes). */
-final class TrajStoreIndex(val bbox: Rect, val maxPerLeaf: Int = 1500) {
+final class TrajStoreIndex(val bbox: Rect, val maxPerLeaf: Int) {
 
-  final class Leaf(var rect: Rect) {
+  /** A quadtree cell: a leaf holds points; a split cell holds none and has
+    * four children. */
+  final class Cell(val rect: Rect) {
     val pts = mutable.ArrayBuffer.empty[(Int, Int, Pt)] // (trajId, t, p)
+    private[TrajStoreIndex] var children = Array.empty[Cell]
   }
 
-  sealed trait Node
-  final case class Inner(rect: Rect, children: Array[Node]) extends Node
-  final case class LeafNode(leaf: Leaf) extends Node
-
-  private var root: Node = LeafNode(new Leaf(bbox))
+  private val root = new Cell(bbox)
   var splitOps = 0
 
   private def childRects(r: Rect): Array[Rect] = {
@@ -27,69 +26,40 @@ final class TrajStoreIndex(val bbox: Rect, val maxPerLeaf: Int = 1500) {
           Rect(r.x0, my, mx, r.y1), Rect(mx, my, r.x1, r.y1))
   }
 
-  private def insertInto(node: Node, id: Int, t: Int, p: Pt): Node = node match {
-    case LeafNode(leaf) =>
-      leaf.pts += ((id, t, p))
-      if (leaf.pts.length > maxPerLeaf && leaf.rect.width > 1e-7) {
-        splitOps += 1
-        val rects = childRects(leaf.rect)
-        val children: Array[Node] = rects.map(r => LeafNode(new Leaf(r)): Node)
-        val inner = Inner(leaf.rect, children)
-        for ((iid, it, ip) <- leaf.pts) descend(inner, iid, it, ip)
-        inner
-      } else node
-    case Inner(rect, children) =>
-      descend(node.asInstanceOf[Inner], id, t, p)
-      node
+  /** The leaf under `from` that p belongs to: at each split cell, the first
+    * child whose rect contains p, else the last child (a point on an upper
+    * edge of the bbox lies in none). */
+  private def leafUnder(from: Cell, p: Pt): Cell = {
+    var c = from
+    while (c.children.nonEmpty) c = c.children.find(_.rect.contains(p)).getOrElse(c.children(3))
+    c
   }
 
-  private def descend(inner: Inner, id: Int, t: Int, p: Pt): Unit = {
-    var ci = 0
-    var placed = false
-    while (ci < 4 && !placed) {
-      inner.children(ci) match {
-        case LeafNode(l) if l.rect.contains(p) =>
-          inner.children(ci) = insertInto(inner.children(ci), id, t, p)
-          placed = true
-        case in @ Inner(r, _) if r.contains(p) =>
-          descend(in, id, t, p)
-          placed = true
-        case _ =>
-      }
-      ci += 1
-    }
-    if (!placed) {
-      // numeric edge: clamp to the last child
-      inner.children(3) = insertInto(inner.children(3), id, t, p)
+  /** Appends the point to its leaf under `from`; an overfull leaf splits and
+    * its points, in order, go down again from it. */
+  private def add(from: Cell, e: (Int, Int, Pt)): Unit = {
+    val leaf = leafUnder(from, e._3)
+    leaf.pts += e
+    if (leaf.pts.length > maxPerLeaf && leaf.rect.width > 1e-7) {
+      splitOps += 1
+      leaf.children = childRects(leaf.rect).map(new Cell(_))
+      val moved = leaf.pts.toArray
+      leaf.pts.clear()
+      moved.foreach(add(leaf, _))
     }
   }
 
-  def insert(id: Int, t: Int, p: Pt): Unit = { root = insertInto(root, id, t, p) }
+  def insert(id: Int, t: Int, p: Pt): Unit = add(root, (id, t, p))
 
-  def leaves: Seq[Leaf] = {
-    val out = mutable.ArrayBuffer.empty[Leaf]
-    def rec(n: Node): Unit = n match {
-      case LeafNode(l) => out += l
-      case Inner(_, cs) => cs.foreach(rec)
-    }
+  /** The leaves, depth first with children in order. */
+  def leaves: Seq[Cell] = {
+    val out = mutable.ArrayBuffer.empty[Cell]
+    def rec(c: Cell): Unit = if (c.children.isEmpty) out += c else c.children.foreach(rec)
     rec(root)
     out.toSeq
   }
 
-  def leafOf(p: Pt): Leaf = {
-    var n = root
-    while (true) {
-      n match {
-        case LeafNode(l) => return l
-        case Inner(_, cs) =>
-          n = cs.find {
-            case LeafNode(l) => l.rect.contains(p)
-            case Inner(r, _) => r.contains(p)
-          }.getOrElse(cs(3))
-      }
-    }
-    throw new IllegalStateException("unreachable")
-  }
+  def leafOf(p: Pt): Cell = leafUnder(root, p)
 
   /** Trajectory ids stored in the leaf cell of p at time t. */
   def query(p: Pt, t: Int): Array[Int] =

@@ -48,24 +48,36 @@ object CodebookPolicy {
   final case class KMeansPerStep(v: Int) extends CodebookPolicy
 }
 
+/** The last `cap` points of each trajectory, oldest first. */
+private[core] final class TrajWindow(cap: Int) {
+  private val byId = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]]
+
+  def apply(id: Int): collection.IndexedSeq[Pt] = byId.getOrElse(id, IndexedSeq.empty)
+
+  def add(id: Int, p: Pt): Unit = {
+    val b = byId.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
+    b += p
+    if (b.length > cap) b.remove(0)
+  }
+}
+
 /** The last k reconstructed points of each trajectory and the prediction
   * rule over them: Eq. 2 predicts from the reconstructions T̂, never from
   * the raw points. The encoder's frontend and the decoder each keep one
   * and feed it the same reconstructions, so both predict the same point. */
 final class ReconHistory(params: PpqParams) {
-  private val hist = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]] // oldest→newest
+  private val hist = new TrajWindow(params.k)
 
   /** Last k reconstructed points of `id`, most recent first ([t-1, t-2, ...]),
     * or empty while fewer than k are known. */
-  def of(id: Int): Array[Pt] =
-    hist.get(id) match {
-      case Some(b) if b.length >= params.k =>
-        val out = new Array[Pt](params.k)
-        var j = 0
-        while (j < params.k) { out(j) = b(b.length - 1 - j); j += 1 }
-        out
-      case _ => Array.empty
-    }
+  def of(id: Int): Array[Pt] = {
+    val b = hist(id)
+    if (b.length < params.k) return Array.empty
+    val out = new Array[Pt](params.k)
+    var j = 0
+    while (j < params.k) { out(j) = b(b.length - 1 - j); j += 1 }
+    out
+  }
 
   /** Whether `h` (from `of`) holds k points. */
   def ready(h: Array[Pt]): Boolean = h.length == params.k
@@ -74,11 +86,7 @@ final class ReconHistory(params: PpqParams) {
   def predict(coeffs: Array[Double], h: Array[Pt]): Pt =
     if (ready(h)) Predictor.predict(coeffs, h) else Pt(0.0, 0.0)
 
-  def add(id: Int, recon: Pt): Unit = {
-    val b = hist.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
-    b += recon
-    if (b.length > params.k + 2) b.remove(0)
-  }
+  def add(id: Int, recon: Pt): Unit = hist.add(id, recon)
 }
 
 /** The shared predictive front half of PPQ: incremental partitioning,
@@ -86,7 +94,8 @@ final class ReconHistory(params: PpqParams) {
   * *reconstructed* points, and history upkeep. */
 final class PredictiveFrontend(val params: PpqParams) {
   private val history = new ReconHistory(params)
-  private val raw = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]]  // raw, for AR features
+  // raw points, for AR features: the ArWindow rows of the fit and k lags before them
+  private val raw = new TrajWindow(PredictiveFrontend.ArWindow + params.k)
   private val keepRaw = params.mode == PartitionMode.Autocorr  // the only mode that reads `raw`
   private val partitioner = new IncrementalPartitioner(params.epsP, params.seed)
 
@@ -104,7 +113,7 @@ final class PredictiveFrontend(val params: PpqParams) {
         partitioner.update(ids, points.map { case (_, p) => Array(p.x, p.y) })
       case PartitionMode.Autocorr =>
         partitioner.update(ids, points.map { case (id, _) =>
-          Predictor.arFeatures(raw.getOrElse(id, mutable.ArrayBuffer.empty[Pt]), params.k, PredictiveFrontend.ArWindow)
+          Predictor.arFeatures(raw(id), params.k, PredictiveFrontend.ArWindow)
         })
     }
     // Visit points grouped by partition, in increasing index within each
@@ -140,11 +149,7 @@ final class PredictiveFrontend(val params: PpqParams) {
     while (i < points.length) {
       val (id, rp) = points(i)
       history.add(id, recons(i))
-      if (keepRaw) {
-        val rb = raw.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
-        rb += rp
-        if (rb.length > PredictiveFrontend.ArWindow + params.k + 2) rb.remove(0)
-      }
+      if (keepRaw) raw.add(id, rp)
       i += 1
     }
   }

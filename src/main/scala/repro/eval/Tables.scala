@@ -5,7 +5,6 @@ import repro.baselines._
 import repro.data.TrajDataset
 import repro.index._
 import repro.query._
-import scala.collection.mutable
 
 /** Plain-text table rendering shared by benches and jobs. */
 object Render {
@@ -188,15 +187,38 @@ object Table9 {
     * blocks of PI/TPI, matching that cell-to-page ratio. */
   private val TrajStoreDiskLeaf = 6000
 
+  /** Each build and each query pass runs once to warm up, then `Repeats`
+    * times; the table reports the median time. A single cold run moved
+    * build times by more than the gap between TPI and PI. */
+  private val Repeats = 5
+
+  private def median(ms: Array[Long]): Long = ms.sorted.apply(ms.length / 2)
+
+  /** The index `build` returns, and its median build time in ms. */
+  private def medianBuild[A](build: => A): (A, Long) = {
+    var built = build
+    val ms = Array.fill(Repeats) {
+      val t0 = System.nanoTime()
+      built = build
+      (System.nanoTime() - t0) / 1000000
+    }
+    (built, median(ms))
+  }
+
+  /** `DiskSim.runQueries` with its median response time. */
+  private def medianQueries[K](queries: Seq[(Pt, Int)], keyOf: ((Pt, Int)) => Option[K],
+                               layout: DiskSim.Layout[K]): DiskSim.QueryStats = {
+    DiskSim.runQueries(queries, keyOf, layout)
+    val runs = Array.fill(Repeats)(DiskSim.runQueries(queries, keyOf, layout))
+    runs.head.copy(responseMillis = median(runs.map(_.responseMillis)))
+  }
+
   /** One block per (key, region) of each keyed PI, sized by the region's
-    * postings, laid out in key order and region-id order within a key. */
+    * postings, laid out in key order and region-id order within a key;
+    * regions without postings get no block. */
   private def regionLayout(pis: Seq[(Int, PiIndex)]): DiskSim.Layout[(Int, Int)] = {
     val layout = new DiskSim.Layout[(Int, Int)](PageBytes)
-    for ((key, pi) <- pis) {
-      val counts = mutable.HashMap.empty[Int, Int]
-      for (((region, _, _, _), ids) <- pi.allPostings) counts(region) = counts.getOrElse(region, 0) + ids.length
-      for ((region, c) <- counts.toSeq.sorted) layout.add((key, region), c)
-    }
+    for ((key, pi) <- pis; (c, region) <- pi.postedByRegion.zipWithIndex if c > 0) layout.add((key, region), c)
     layout
   }
 
@@ -212,41 +234,39 @@ object Table9 {
     val epsS = cfg.epsS / 5
 
     // --- TPI ---
-    val t0 = System.nanoTime()
-    val tpi = new TpiIndex(epsS, cfg.gcDeg, epsC = 0.5, epsD = 0.8) // §6.5's TPI setting
-    for (t <- 1 to data.len) tpi.step(t, data.pointsAt(t))
-    val tpiBuildMs = (System.nanoTime() - t0) / 1000000
+    val (tpi, tpiBuildMs) = medianBuild {
+      val tpi = new TpiIndex(epsS, cfg.gcDeg, epsC = 0.5, epsD = 0.8) // §6.5's TPI setting
+      for (t <- 1 to data.len) tpi.step(t, data.pointsAt(t))
+      tpi
+    }
     val tpiLayout = regionLayout(tpi.periods.indices.map(i => (i, tpi.periods(i).pi)))
-    val periodAt: Map[Int, Int] = // t -> period index, precomputed once
-      (for ((per, i) <- tpi.periods.zipWithIndex.toSeq; t <- per.start to per.end) yield t -> i).toMap
-    val tpiStats = DiskSim.runQueries[(Int, Int)](queries, { case (p, t) =>
-      periodAt.get(t).flatMap { i =>
-        val r = tpi.periods(i).pi.regionOf(p)
-        if (r >= 0) Some((i, r)) else None
-      }
+    val tpiStats = medianQueries[(Int, Int)](queries, { case (p, t) =>
+      val i = tpi.periodIndex(t)
+      val r = if (i >= 0) tpi.periods(i).pi.regionOf(p) else -1
+      Option.when(r >= 0)((i, r))
     }, tpiLayout)
 
     // --- PI built from scratch at every timestamp ---
-    val t1 = System.nanoTime()
-    val pis = (1 to data.len).map(t => Pi.build(t, data.pointsAt(t), epsS, cfg.gcDeg, cfg.seed + t))
-    val piBuildMs = (System.nanoTime() - t1) / 1000000
+    val (pis, piBuildMs) = medianBuild(
+      (1 to data.len).map(t => Pi.build(t, data.pointsAt(t), epsS, cfg.gcDeg, cfg.seed + t)))
     val piLayout = regionLayout((1 to data.len).zip(pis))
-    val piStats = DiskSim.runQueries[(Int, Int)](queries, { case (p, t) =>
+    val piStats = medianQueries[(Int, Int)](queries, { case (p, t) =>
       val r = pis(t - 1).regionOf(p)
-      if (r >= 0) Some((t, r)) else None
+      Option.when(r >= 0)((t, r))
     }, piLayout)
     val piSizeMB = pis.map(_.sizeBits).sum / 8.0 / 1e6
 
     // --- TrajStore ---
-    val t2 = System.nanoTime()
-    val ts = new TrajStoreIndex(data.bbox, TrajStoreDiskLeaf)
-    for (t <- 1 to data.len; (id, p) <- data.pointsAt(t)) ts.insert(id, t, p)
-    val tsBuildMs = (System.nanoTime() - t2) / 1000000
+    val (ts, tsBuildMs) = medianBuild {
+      val ts = new TrajStoreIndex(data.bbox, TrajStoreDiskLeaf)
+      for (t <- 1 to data.len; (id, p) <- data.pointsAt(t)) ts.insert(id, t, p)
+      ts
+    }
     val leaves = ts.leaves.toIndexedSeq
     val leafIdx = new java.util.IdentityHashMap[AnyRef, Integer]()
     val tsLayout = new DiskSim.Layout[Int](PageBytes)
     leaves.zipWithIndex.foreach { case (l, i) => leafIdx.put(l, i); tsLayout.add(i, l.pts.length) }
-    val tsStats = DiskSim.runQueries[Int](queries, { case (p, _) =>
+    val tsStats = medianQueries[Int](queries, { case (p, _) =>
       Option(leafIdx.get(ts.leafOf(p))).map(_.intValue)
     }, tsLayout)
     // TrajStore index size: per-(leaf, t) compressed id postings + leaf rects.

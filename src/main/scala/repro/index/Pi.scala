@@ -92,7 +92,12 @@ final class PiIndex(val gc: Double) {
     out.distinct.toArray
   }
 
-  def allPostings: Iterator[((Int, Int, Int, Int), Array[Int])] = postings.iterator
+  /** Ids posted in each region, over all its cells and timestamps. */
+  def postedByRegion: Array[Int] = {
+    val c = new Array[Int](regions.length)
+    for (((r, _, _, _), ids) <- postings) c(r) += ids.length
+    c
+  }
 
   /** Compressed size of the postings and the region rectangles. */
   def sizeBits: Long = IdCodec.indexBits(postings.values, regions.length)

@@ -1,7 +1,7 @@
 package repro.index
 
 import repro.core._
-import scala.collection.mutable
+import scala.collection.{Searching, mutable}
 
 /** Temporal partition-based index (Algorithm 4).
   *
@@ -65,7 +65,17 @@ final class TpiIndex(val epsS: Double, val gc: Double, val epsC: Double, val eps
     }
   }
 
-  def periodOf(t: Int): Option[Period] = periods.find(p => p.start <= t && t <= p.end)
+  /** Position in `periods` of the period holding t, or -1. Periods are
+    * contiguous and sorted by start, so this is a binary search. */
+  def periodIndex(t: Int): Int = {
+    val i = periods.view.map(_.start).search(t) match {
+      case Searching.Found(i) => i
+      case Searching.InsertionPoint(i) => i - 1
+    }
+    if (i >= 0 && t <= periods(i).end) i else -1
+  }
+
+  def periodOf(t: Int): Option[Period] = periods.lift(periodIndex(t))
 
   def query(p: Pt, t: Int): Array[Int] =
     periodOf(t).map(_.pi.query(p, t)).getOrElse(Array.empty)

@@ -5,7 +5,20 @@ import repro.data.TrajDataset
 import scala.util.Random
 
 /** A spatio-temporal range query (Def. 5.2): the grid cell of (x, y) at t. */
-final case class Strq(x: Double, y: Double, t: Int)
+final case class Strq(x: Double, y: Double, t: Int) {
+
+  /** The query's g_c cell on the grid anchored at `origin`. */
+  def cell(origin: Pt, gc: Double): (Long, Long) = Queries.cellOf(Pt(x, y), origin, gc)
+
+  /** The candidate box of §5.2: the query cell dilated by the CQC bound
+    * `radius` on every side. Any raw point in the cell has its refined
+    * reconstruction inside, so candidates from the box have recall 1. */
+  def box(origin: Pt, gc: Double, radius: Double): Rect = {
+    val (cx, cy) = cell(origin, gc)
+    Rect(origin.x + cx * gc - radius, origin.y + cy * gc - radius,
+         origin.x + (cx + 1) * gc + radius, origin.y + (cy + 1) * gc + radius)
+  }
+}
 
 /** STRQ / TPQ processing over reconstructed summaries plus the evaluation
   * metrics used in §6.2 (precision, recall, MAE, visited ratio). The g_c
@@ -15,46 +28,36 @@ object Queries {
   def cellOf(p: Pt, origin: Pt, gc: Double): (Long, Long) =
     (math.floor((p.x - origin.x) / gc).toLong, math.floor((p.y - origin.y) / gc).toLong)
 
-  /** Ground truth: trajectory ids whose RAW point at t shares the query's cell. */
-  def groundTruth(data: TrajDataset, q: Strq, gc: Double): Set[Int] = {
-    val origin = Pt(data.bbox.x0, data.bbox.y0)
-    val qc = cellOf(Pt(q.x, q.y), origin, gc)
-    (0 until data.numTrajs).filter(i => cellOf(data.point(i, q.t), origin, gc) == qc).toSet
+  private def origin(data: TrajDataset): Pt = Pt(data.bbox.x0, data.bbox.y0)
+
+  /** The ids among `ids` whose point at q.t, as `at` gives it, shares q's cell. */
+  private def inCell(ids: Iterable[Int], data: TrajDataset, q: Strq, gc: Double)(at: Int => Option[Pt]): Set[Int] = {
+    val o = origin(data)
+    val qc = q.cell(o, gc)
+    ids.filter(i => at(i).exists(p => cellOf(p, o, gc) == qc)).toSet
   }
+
+  /** Ground truth: trajectory ids whose RAW point at t shares the query's cell. */
+  def groundTruth(data: TrajDataset, q: Strq, gc: Double): Set[Int] =
+    refineWithRaw(0 until data.numTrajs, data, q, gc)
 
   /** Approximate STRQ: ids whose reconstructed point falls in the query cell. */
-  def approxByCell(recon: collection.Map[(Int, Int), Pt], data: TrajDataset, q: Strq, gc: Double): Set[Int] = {
-    val origin = Pt(data.bbox.x0, data.bbox.y0)
-    val qc = cellOf(Pt(q.x, q.y), origin, gc)
-    (0 until data.numTrajs).filter { i =>
-      recon.get((i, q.t)).exists(p => cellOf(p, origin, gc) == qc)
-    }.toSet
-  }
+  def approxByCell(recon: collection.Map[(Int, Int), Pt], data: TrajDataset, q: Strq, gc: Double): Set[Int] =
+    inCell(0 until data.numTrajs, data, q, gc)(i => recon.get((i, q.t)))
 
-  /** Local search (§5.2): candidates are reconstructions inside the query
-    * cell *dilated* by the CQC bound r = (√2/2)·g_s — any raw point in the
-    * cell has its refined reconstruction within r of it, so recall is 1. */
+  /** Local search (§5.2): candidates are the reconstructions inside the
+    * query's candidate box (`Strq.box`). */
   def localSearchCandidates(recon: collection.Map[(Int, Int), Pt], data: TrajDataset,
                             q: Strq, gc: Double, radius: Double): Set[Int] = {
-    val origin = Pt(data.bbox.x0, data.bbox.y0)
-    val qc = cellOf(Pt(q.x, q.y), origin, gc)
-    val cx0 = origin.x + qc._1 * gc - radius
-    val cx1 = origin.x + (qc._1 + 1) * gc + radius
-    val cy0 = origin.y + qc._2 * gc - radius
-    val cy1 = origin.y + (qc._2 + 1) * gc + radius
-    (0 until data.numTrajs).filter { i =>
-      recon.get((i, q.t)).exists(p => p.x >= cx0 && p.x < cx1 && p.y >= cy0 && p.y < cy1)
-    }.toSet
+    val box = q.box(origin(data), gc, radius)
+    (0 until data.numTrajs).filter(i => recon.get((i, q.t)).exists(box.contains)).toSet
   }
 
   /** Exact refinement: access the raw trajectory of each candidate and keep
     * those truly in the query cell — precision and recall become 1 when the
     * candidate set had recall 1 (§5.2). */
-  def refineWithRaw(cands: Set[Int], data: TrajDataset, q: Strq, gc: Double): Set[Int] = {
-    val origin = Pt(data.bbox.x0, data.bbox.y0)
-    val qc = cellOf(Pt(q.x, q.y), origin, gc)
-    cands.filter(i => cellOf(data.point(i, q.t), origin, gc) == qc)
-  }
+  def refineWithRaw(cands: Iterable[Int], data: TrajDataset, q: Strq, gc: Double): Set[Int] =
+    inCell(cands, data, q, gc)(i => Some(data.point(i, q.t)))
 
   def precisionRecall(returned: Set[Int], truth: Set[Int]): (Double, Double) = {
     if (returned.isEmpty && truth.isEmpty) return (1.0, 1.0)

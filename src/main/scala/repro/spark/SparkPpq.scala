@@ -5,6 +5,7 @@ import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.unsafe.hash.Murmur3_x86_32
 import repro.core._
+import repro.query.Strq
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
@@ -22,14 +23,12 @@ import scala.reflect.ClassTag
   *     points per group; each task sorts its group's points by
   *     (t, traj_id) and steps one encoder, so the codes equal a sequential
   *     encoder's over the same points, whatever the input's partitioning.
-  * The encode step used to be a `groupByKey` exchange. Adaptive query
-  * execution coalesced its 200 shuffle partitions into one task, so on
-  * 400×150 Porto-like data all groups encoded one after another on one core.
   *
-  * The resulting summary is a DataFrame carrying the refined reconstruction
-  * plus g_c grid-cell columns, so spatio-temporal queries are plain
-  * DataFrame filters, and exact STRQ is a join of the candidate list back to
-  * the raw points (the paper's refinement step).
+  * The summary is a Dataset with one row per point: its group, partition,
+  * codeword index and CQC code, and the refined reconstruction (`xr`,
+  * `yr`). Exact STRQ filters it to the query's candidate box and joins the
+  * candidates back to the raw points (the paper's refinement step); TPQ
+  * reads the candidates' refined points straight off it.
   */
 object SparkPpq {
 
@@ -193,44 +192,18 @@ object SparkPpq {
     out.result()
   }
 
-  /** Attach g_c grid-cell columns of the refined position (`xr`, `yr`) to
-    * a summary DataFrame. */
-  def withCells(df: DataFrame, gc: Double, originX: Double, originY: Double): DataFrame =
-    df.withColumn("cell_x", floor((col("xr") - originX) / gc).cast("long"))
-      .withColumn("cell_y", floor((col("yr") - originY) / gc).cast("long"))
-
-  /** Approximate STRQ: filter the indexed summary on (t, cell). */
-  def strq(indexed: DataFrame, x: Double, y: Double, t: Int, gc: Double,
-           originX: Double, originY: Double): DataFrame = {
-    val cx = math.floor((x - originX) / gc).toLong
-    val cy = math.floor((y - originY) / gc).toLong
-    indexed.filter(col("t") === t && col("cell_x") === cx && col("cell_y") === cy)
-      .select(col("traj_id")).distinct()
-  }
-
-  /** Candidate list with CQC local search: reconstructions within the query
-    * cell dilated by radius (√2/2)·g_s (§5.2). */
-  def strqCandidates(summary: DataFrame, x: Double, y: Double, t: Int, gc: Double,
-                     originX: Double, originY: Double, radiusDeg: Double): DataFrame = {
-    val cx = math.floor((x - originX) / gc).toLong
-    val cy = math.floor((y - originY) / gc).toLong
-    val x0 = originX + cx * gc - radiusDeg
-    val x1 = originX + (cx + 1) * gc + radiusDeg
-    val y0 = originY + cy * gc - radiusDeg
-    val y1 = originY + (cy + 1) * gc + radiusDeg
-    summary.filter(col("t") === t &&
-      col("xr") >= x0 && col("xr") < x1 && col("yr") >= y0 && col("yr") < y1)
-      .select(col("traj_id")).distinct()
-  }
-
-  /** Exact STRQ: refine the candidate list against the raw points — the
-    * DataFrame join realisation of §5.2's "accessing the original
-    * trajectory of the candidate list". */
+  /** Exact STRQ (§5.2): the candidates are the summary's refined points
+    * inside the query's candidate box (`Strq.box`); a join back to the raw
+    * points keeps those truly in the query's g_c cell. */
   def strqExact(summary: DataFrame, raw: DataFrame, x: Double, y: Double, t: Int,
                 gc: Double, originX: Double, originY: Double, radiusDeg: Double): DataFrame = {
-    val cx = math.floor((x - originX) / gc).toLong
-    val cy = math.floor((y - originY) / gc).toLong
-    val cands = strqCandidates(summary, x, y, t, gc, originX, originY, radiusDeg)
+    val q = Strq(x, y, t)
+    val origin = Pt(originX, originY)
+    val (cx, cy) = q.cell(origin, gc)
+    val box = q.box(origin, gc, radiusDeg)
+    val cands = summary.filter(col("t") === t &&
+      col("xr") >= box.x0 && col("xr") < box.x1 && col("yr") >= box.y0 && col("yr") < box.y1)
+      .select(col("traj_id")).distinct()
     raw.filter(col("t") === t)
       .join(cands, "traj_id")
       .filter(floor((col("x") - originX) / gc) === cx && floor((col("y") - originY) / gc) === cy)

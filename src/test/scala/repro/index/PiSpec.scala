@@ -74,6 +74,11 @@ class PiSpec extends AnyFunSuite {
       assert(ids.distinct.length == ids.length)
       assert(ids.contains(id))
     }
+    // each region posts its points once per timestamp
+    val perRegion = pi.countsByRegion(pi.classify(p)).toSeq
+    assert(pi.postedByRegion.toSeq == perRegion)
+    pi.insert(2, p, pi.classify(p))
+    assert(pi.postedByRegion.toSeq == perRegion.map(_ * 2))
   }
 
   test("insertUncovered extends coverage disjointly") {

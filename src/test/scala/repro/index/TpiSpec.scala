@@ -16,6 +16,9 @@ class TpiSpec extends AnyFunSuite {
     assert(ps.head.start == 1 && ps.last.end == data.len)
     for (i <- 1 until ps.length) assert(ps(i).start == ps(i - 1).end + 1)
     for (t <- 1 to data.len) assert(tpi.periodOf(t).isDefined)
+    for (t <- 0 to data.len + 1)
+      assert(tpi.periodIndex(t) == ps.indexWhere(p => p.start <= t && t <= p.end), s"t=$t")
+    assert(new TpiIndex(epsS = 0.1, gc = gc, epsC = 0.5, epsD = 0.5).periodIndex(1) == -1)
   }
 
   test("every point is queryable at its own timestamp") {
