@@ -5,7 +5,7 @@ import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{TrajDataset, TrajGen}
 import repro.baselines.{TrajStoreIndex, TrajStoreQuant}
-import repro.eval.{EvalConfig, MethodRun, PerTimestep, Table9}
+import repro.eval.{EvalConfig, MethodRun, PerTimestep, Table2, Table3, Table4, Table9}
 import repro.index.Pi
 
 /** Pins the encoder's exact output for fixed seeds. Any change to
@@ -108,6 +108,24 @@ class GoldenHashSpec extends AnyFunSuite {
   private def portoSmall = TrajGen.portoLike(200, 20, 11)
   private def geolifeSmall = TrajGen.geolifeLike(100, 30, 44)
 
+  /** Every double of Tables 2, 3 and 4 (5 and 6 bits), row by row, on each
+    * small dataset: the cells are sums over reconstructions, so a change of
+    * summation order or of a single reconstructed bit shows here. */
+  private def tables(): String = {
+    val f = new Fingerprint
+    for ((data, cfg) <- Seq(portoSmall -> porto, geolifeSmall -> geolife)) {
+      val runs = PerTimestep.allBudgetMatched(data, cfg)
+      for (r <- Table2.evaluate(runs, data, cfg, nQueries = 100)) {
+        f.double(r.maeM); f.double(r.precision); f.double(r.recall)
+      }
+      for (r <- Table3.evaluate(runs, data); (_, mae) <- r.maeByL) f.double(mae)
+      for (r <- Table4.run(data, cfg, bitsRange = Seq(5, 6), nQueries = 50); (_, c) <- r.byBits) {
+        f.double(c.ratio); f.double(c.maeM)
+      }
+    }
+    f.hex
+  }
+
   private val cases: Seq[(String, () => String, String)] = Seq(
     ("PPQ-A porto 400x30 seed 5",
       () => encode(TrajGen.portoLike(400, 30, 5), porto.params(PartitionMode.Autocorr, useCqc = true)),
@@ -186,7 +204,9 @@ class GoldenHashSpec extends AnyFunSuite {
         }
         f.hex
       },
-      "94ebb21db970b169"))
+      "94ebb21db970b169"),
+    ("Tables 2, 3 and 4 (5, 6 bits) porto 200x20 seed 11 and geolife 100x30 seed 44", () => tables(),
+      "46005b99dc227ba5"))
 
   for ((name, run, expected) <- cases)
     test(s"golden hash: $name") {
