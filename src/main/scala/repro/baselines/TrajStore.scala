@@ -86,10 +86,10 @@ object TrajStoreQuant {
     * then k-means each leaf's points with its share. */
   def summarizeBudgetAt(idx: TrajStoreIndex, t: Int, v: Int, seed: Long): Map[Int, Pt] = {
     val out = mutable.HashMap.empty[Int, Pt]
-    val leaves = idx.leaves.map(l => (l, l.pts.filter(_._2 == t))).filter(_._2.nonEmpty)
-    val total = leaves.map(_._2.length).sum
+    val leaves = idx.leaves.map(_.pts.filter(_._2 == t)).filter(_.nonEmpty)
+    val total = leaves.map(_.length).sum
     if (total == 0) return Map.empty
-    for ((leaf, pts) <- leaves) {
+    for (pts <- leaves) {
       val share = math.max(1, math.round(v.toDouble * pts.length / total).toInt)
       val arr = pts.map(_._3).toArray
       val (cents, assign) = KMeans.clusterPts(arr, share, seed = seed)

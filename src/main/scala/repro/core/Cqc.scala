@@ -17,7 +17,7 @@ final case class CqcCode(bits: Long, len: Int)
   * 10 = bottom-left, 11 = bottom-right (high bit = bottom, low bit = right).
   */
 final class CoordinateQuadtree(val side: Int) {
-  require(side >= 1 && side <= 4096, s"side out of range: $side")
+  require(side >= 1 && side <= CoordinateQuadtree.MaxSide, s"side out of range: $side")
   import CoordinateQuadtree._
 
   /** Path of 2-bit quadrant labels from the root to the unit cell (cx, cy). */
@@ -74,6 +74,8 @@ final class CoordinateQuadtree(val side: Int) {
 }
 
 object CoordinateQuadtree {
+  val MaxSide = 4096
+
   /** Fixed root padding convention (treated as an upper-right subspace). */
   val RootQuad = 1
 

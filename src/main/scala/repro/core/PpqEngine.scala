@@ -21,7 +21,16 @@ final case class PpqParams(
     gs: Option[Double] = Some(50.0 / Geo.MetersPerDegree),
     mode: PartitionMode = PartitionMode.Autocorr,
     epsP: Double = 0.01,
-    seed: Long = 17) extends Serializable
+    seed: Long = 17) extends Serializable {
+  require(k >= 1, s"k must be at least 1: k = $k")
+  require(eps1 > 0 && !eps1.isInfinite, s"ε₁ must be positive and finite: ε₁ = $eps1")
+  for (g <- gs) {
+    require(g > 0 && !g.isInfinite, s"g_s must be positive and finite: g_s = $g")
+    val side = Cqc.sideFor(eps1, g)
+    require(side <= CoordinateQuadtree.MaxSide, s"ε₁ = $eps1 over g_s = $g needs a CQC grid of side $side, " +
+      s"over the coordinate quadtree's limit of ${CoordinateQuadtree.MaxSide} cells a side")
+  }
+}
 
 /** Per-point output of the encoder. `recon` is the codebook reconstruction
   * (Eq. 4); `refined` additionally applies CQC (Eq. 11) when enabled. */

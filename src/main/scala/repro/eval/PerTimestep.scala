@@ -5,13 +5,13 @@ import repro.baselines._
 import repro.data.TrajDataset
 import scala.collection.mutable
 
-/** One method's reconstruction over a whole dataset plus the metadata the
-  * table evaluations need: per-timestamp codeword budget actually spent,
-  * and the analytic pruning radius when the method has one (CQC bound). */
-final case class MethodRun(name: String,
-                           recon: Map[(Int, Int), Pt],
-                           vPerT: Map[Int, Int],
-                           boundRadiusDeg: Option[Double])
+/** One method's reconstruction, named after the method and over the source
+  * bbox, plus the metadata the table evaluations need: per-timestamp codeword
+  * budget actually spent, and the analytic pruning radius when the method has
+  * one (CQC bound). */
+final case class MethodRun(recon: TrajDataset, vPerT: Map[Int, Int], boundRadiusDeg: Option[Double]) {
+  def name: String = recon.name
+}
 
 /** Shared experiment configuration (values follow §6.1). */
 final case class EvalConfig(
@@ -60,26 +60,22 @@ object PerTimestep {
   private def runPpq(name: String, data: TrajDataset, mode: PartitionMode, useCqc: Boolean,
                      policy: CodebookPolicy, cfg: EvalConfig): MethodRun = {
     val enc = new PpqEncoder(cfg.params(mode, useCqc), policy)
-    val recon = mutable.HashMap.empty[(Int, Int), Pt]
     val vPerT = mutable.HashMap.empty[Int, Int]
-    for (t <- 1 to data.len) {
-      for (cp <- enc.step(t, data.pointsAt(t))) recon((cp.trajId, t)) = cp.refined
+    val recon = reconstruct(name, data) { (t, trajs) =>
+      for (cp <- enc.step(t, data.pointsAt(t))) trajs(cp.trajId)(t - 1) = cp.refined
       if (policy == CodebookPolicy.PerStep) vPerT(t) = enc.codebook.size
     }
-    MethodRun(name, recon.toMap, vPerT.toMap, if (useCqc) Some(cfg.cqcRadiusDeg) else None)
+    MethodRun(recon, vPerT.toMap, if (useCqc) Some(cfg.cqcRadiusDeg) else None)
   }
 
   /** A baseline whose timestep t reconstruction is stepFn(points, v(t)). */
   def runIndependent(name: String, data: TrajDataset, vOf: Int => Int,
                      stepFn: (Array[Pt], Int, Long) => Array[Pt], seed: Long): MethodRun = {
-    val recon = mutable.HashMap.empty[(Int, Int), Pt]
-    for (t <- 1 to data.len) {
-      val pts = data.pointsAt(t)
-      val rec = stepFn(pts.map(_._2), math.max(1, vOf(t)), seed + t)
-      var i = 0
-      while (i < pts.length) { recon((pts(i)._1, t)) = rec(i); i += 1 }
+    val recon = reconstruct(name, data) { (t, trajs) =>
+      val rec = stepFn(data.pointsAt(t).map(_._2), math.max(1, vOf(t)), seed + t)
+      for (i <- rec.indices) trajs(i)(t - 1) = rec(i) // pointsAt lists ids in order
     }
-    MethodRun(name, recon.toMap, Map.empty, None)
+    MethodRun(recon, Map.empty, None)
   }
 
   /** TrajStore under the Table 2 protocol: the quadtree index grows as the
@@ -87,14 +83,20 @@ object PerTimestep {
     * leaves proportionally to their point counts. */
   def runTrajStore(name: String, data: TrajDataset, vOf: Int => Int, cfg: EvalConfig): MethodRun = {
     val idx = new TrajStoreIndex(data.bbox, cfg.trajStoreLeaf)
-    val recon = mutable.HashMap.empty[(Int, Int), Pt]
-    for (t <- 1 to data.len) {
-      val pts = data.pointsAt(t)
-      pts.foreach { case (id, p) => idx.insert(id, t, p) }
+    val recon = reconstruct(name, data) { (t, trajs) =>
+      data.pointsAt(t).foreach { case (id, p) => idx.insert(id, t, p) }
       for ((id, p) <- TrajStoreQuant.summarizeBudgetAt(idx, t, math.max(1, vOf(t)), cfg.seed + t))
-        recon((id, t)) = p
+        trajs(id)(t - 1) = p
     }
-    MethodRun(name, recon.toMap, Map.empty, None)
+    MethodRun(recon, Map.empty, None)
+  }
+
+  /** Reconstruction `name` of `data`: `step(t, trajs)` writes t's points at
+    * trajs(id)(t - 1), for t = 1..len; `TrajDataset` rejects a gap. */
+  private def reconstruct(name: String, data: TrajDataset)(step: (Int, Array[Array[Pt]]) => Unit): TrajDataset = {
+    val trajs = Array.fill(data.numTrajs)(new Array[Pt](data.len))
+    for (t <- 1 to data.len) step(t, trajs)
+    TrajDataset(name, trajs.toIndexedSeq, data.bbox)
   }
 
   /** The full Table 2/3 method suite in the paper's row order; every

@@ -32,9 +32,8 @@ object Table2 {
         val truth = Queries.groundTruth(data, q, cfg.gcDeg)
         val returned = r.boundRadiusDeg match {
           case Some(rad) =>
-            Queries.refineWithRaw(
-              Queries.localSearchCandidates(r.recon, data, q, cfg.gcDeg, rad), data, q, cfg.gcDeg)
-          case None => Queries.approxByCell(r.recon, data, q, cfg.gcDeg)
+            Queries.refineWithRaw(Queries.localSearchCandidates(r.recon, q, cfg.gcDeg, rad), data, q, cfg.gcDeg)
+          case None => Queries.groundTruth(r.recon, q, cfg.gcDeg) // approximate STRQ
         }
         val (p, rc) = Queries.precisionRecall(returned, truth)
         ps += p; rs += rc
@@ -75,8 +74,7 @@ object Table4 {
     val byBits = bitsRange.map { bits =>
       bits -> PerTimestep.allFixedBits(data, bits, cfg).map { r =>
         val radius = r.boundRadiusDeg.getOrElse(Queries.maxDeviationDeg(r.recon, data))
-        r.name -> Cell(Queries.visitedRatio(r.recon, data, qs, radius),
-                       Queries.maeMeters(r.recon, data))
+        r.name -> Cell(Queries.visitedRatio(r.recon, qs, radius), Queries.maeMeters(r.recon, data))
       }.toMap
     }
     (Methods.ppq ++ Methods.quantizers).map(m => Row(m.name, byBits.map { case (b, cells) => b -> cells(m.name) }))
@@ -173,14 +171,10 @@ object Table78 {
 
 /** Table 9: disk-based index comparison (TPI vs per-timestamp PI vs
   * TrajStore) — size, I/Os, response time, build time over the simulated
-  * store of `PageBytes` pages. */
+  * store of `DiskSim.PageBytes` pages. */
 object Table9 {
   final case class Row(method: String, sizeMB: Double, ios: Long, respMs: Long, buildMs: Long)
 
-  /** Page size is scaled to the substrate (paper: 1 MB over 74M points;
-    * here 8 KB over ~10^4–10^5 points) so blocks stay multi-page and the
-    * per-method I/O ordering is measurable. */
-  private val PageBytes = 8 * 1024
   /** Disk-resident TrajStore cells persist over the WHOLE time range (the
     * paper's §6.5 observation that one cell spans many pages); this leaf
     * capacity keeps cells multi-page relative to the per-timestamp region
@@ -217,7 +211,7 @@ object Table9 {
     * postings, laid out in key order and region-id order within a key;
     * regions without postings get no block. */
   private def regionLayout(pis: Seq[(Int, PiIndex)]): DiskSim.Layout[(Int, Int)] = {
-    val layout = new DiskSim.Layout[(Int, Int)](PageBytes)
+    val layout = new DiskSim.Layout[(Int, Int)](DiskSim.PageBytes)
     for ((key, pi) <- pis; (c, region) <- pi.postedByRegion.zipWithIndex if c > 0) layout.add((key, region), c)
     layout
   }
@@ -264,7 +258,7 @@ object Table9 {
     }
     val leaves = ts.leaves.toIndexedSeq
     val leafIdx = new java.util.IdentityHashMap[AnyRef, Integer]()
-    val tsLayout = new DiskSim.Layout[Int](PageBytes)
+    val tsLayout = new DiskSim.Layout[Int](DiskSim.PageBytes)
     leaves.zipWithIndex.foreach { case (l, i) => leafIdx.put(l, i); tsLayout.add(i, l.pts.length) }
     val tsStats = medianQueries[Int](queries, { case (p, _) =>
       Option(leafIdx.get(ts.leafOf(p))).map(_.intValue)

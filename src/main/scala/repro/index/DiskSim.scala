@@ -25,11 +25,11 @@ import scala.collection.mutable
   */
 object DiskSim {
 
-  val PageBytes: Int = 1 << 20
+  val PageBytes: Int = 8 * 1024
   val BytesPerPoint: Int = 20
 
   /** Page ids assigned sequentially to groups of points. */
-  final class Layout[K](val pageBytes: Int = PageBytes) {
+  final class Layout[K](val pageBytes: Int) {
     private val pagesOf = mutable.HashMap.empty[K, Seq[Int]]
     private var nextPage = 0
     private var fill = 0 // bytes used on the current page
@@ -44,7 +44,6 @@ object DiskSim {
         val take = math.min(remaining, (pageBytes - fill).toLong)
         fill += take.toInt
         remaining -= take
-        if (fill >= pageBytes && remaining > 0) { nextPage += 1; fill = 0 }
       }
       if (pages.isEmpty) { pages += nextPage } // empty group still has a home page
       pagesOf(key) = pages.toSeq

@@ -141,7 +141,7 @@ object Pi {
   def insertUncovered(pi: PiIndex, t: Int, uncovered: Array[(Int, Pt)], epsS: Double, seed: Long = 27): Unit = {
     if (uncovered.isEmpty) return
     val existing = pi.regions.map(_.rect).toSeq
-    for ((region, d) <- buildRegions(uncovered, epsS, pi.gc, seed)) {
+    for ((region, _) <- buildRegions(uncovered, epsS, pi.gc, seed)) {
       val pieces = Rect.subtractAll(region.rect, existing)
       for (piece <- pieces) {
         val g = GridRegion(piece, pi.gc)

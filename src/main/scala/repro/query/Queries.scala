@@ -21,8 +21,9 @@ final case class Strq(x: Double, y: Double, t: Int) {
 }
 
 /** STRQ / TPQ processing over reconstructed summaries plus the evaluation
-  * metrics used in §6.2 (precision, recall, MAE, visited ratio). The g_c
-  * grid is anchored at the dataset bounding-box origin. */
+  * metrics used in §6.2 (precision, recall, MAE, visited ratio). A
+  * reconstruction is a `TrajDataset` over the source bbox, so raw and
+  * reconstructed points share the g_c grid anchored at the bbox origin. */
 object Queries {
 
   def cellOf(p: Pt, origin: Pt, gc: Double): (Long, Long) =
@@ -30,23 +31,19 @@ object Queries {
 
   private def origin(data: TrajDataset): Pt = Pt(data.bbox.x0, data.bbox.y0)
 
-  /** The ids among `ids` whose point at q.t, as `at` gives it, shares q's cell. */
-  private def inCell(ids: Iterable[Int], data: TrajDataset, q: Strq, gc: Double)(at: Int => Option[Pt]): Set[Int] = {
-    val o = origin(data)
-    val qc = q.cell(o, gc)
-    ids.filter(i => at(i).exists(p => cellOf(p, o, gc) == qc)).toSet
-  }
-
-  /** Ground truth: trajectory ids whose RAW point at t shares the query's cell. */
+  /** Ids whose point at q.t shares the query's cell: the ground truth on raw
+    * data, approximate STRQ on a reconstruction (Table 2 without CQC). */
   def groundTruth(data: TrajDataset, q: Strq, gc: Double): Set[Int] =
     refineWithRaw(0 until data.numTrajs, data, q, gc)
 
-  /** Approximate STRQ: ids whose reconstructed point falls in the query cell. */
-  def approxByCell(recon: collection.Map[(Int, Int), Pt], data: TrajDataset, q: Strq, gc: Double): Set[Int] =
-    inCell(0 until data.numTrajs, data, q, gc)(i => recon.get((i, q.t)))
-
   /** Local search (§5.2): candidates are the reconstructions inside the
     * query's candidate box (`Strq.box`). */
+  def localSearchCandidates(recon: TrajDataset, q: Strq, gc: Double, radius: Double): Set[Int] = {
+    val box = q.box(origin(recon), gc, radius)
+    (0 until recon.numTrajs).filter(i => box.contains(recon.point(i, q.t))).toSet
+  }
+
+  /** The same over `PpqDecoder.reconstruct`'s map; `ppqbench` is its only caller. */
   def localSearchCandidates(recon: collection.Map[(Int, Int), Pt], data: TrajDataset,
                             q: Strq, gc: Double, radius: Double): Set[Int] = {
     val box = q.box(origin(data), gc, radius)
@@ -56,8 +53,11 @@ object Queries {
   /** Exact refinement: access the raw trajectory of each candidate and keep
     * those truly in the query cell — precision and recall become 1 when the
     * candidate set had recall 1 (§5.2). */
-  def refineWithRaw(cands: Iterable[Int], data: TrajDataset, q: Strq, gc: Double): Set[Int] =
-    inCell(cands, data, q, gc)(i => Some(data.point(i, q.t)))
+  def refineWithRaw(cands: Iterable[Int], data: TrajDataset, q: Strq, gc: Double): Set[Int] = {
+    val o = origin(data)
+    val qc = q.cell(o, gc)
+    cands.filter(i => cellOf(data.point(i, q.t), o, gc) == qc).toSet
+  }
 
   def precisionRecall(returned: Set[Int], truth: Set[Int]): (Double, Double) = {
     if (returned.isEmpty && truth.isEmpty) return (1.0, 1.0)
@@ -67,15 +67,13 @@ object Queries {
     (p, r)
   }
 
+  /** Each raw point's distance to its reconstruction, t outer, id inner. */
+  private def deviations(recon: TrajDataset, data: TrajDataset): Iterator[Double] =
+    data.allPoints.map { case (i, t, p) => recon.point(i, t).dist(p) }
+
   /** Mean absolute error between reconstruction and raw points, metres. */
-  def maeMeters(recon: collection.Map[(Int, Int), Pt], data: TrajDataset): Double = {
-    var s = 0.0
-    var n = 0L
-    for (t <- 1 to data.len; i <- 0 until data.numTrajs) {
-      recon.get((i, t)).foreach { p => s += Geo.toMeters(p.dist(data.point(i, t))); n += 1 }
-    }
-    if (n == 0) 0.0 else s / n
-  }
+  def maeMeters(recon: TrajDataset, data: TrajDataset): Double =
+    deviations(recon, data).foldLeft(0.0)((s, d) => s + Geo.toMeters(d)) / data.numPoints
 
   /** Queries sampled at actual trajectory positions (so truth is nonempty). */
   def sampleQueries(data: TrajDataset, nQ: Int, seed: Long): Seq[Strq] = {
@@ -90,8 +88,7 @@ object Queries {
 
   /** Table 3: MAE (metres) of reconstructed sub-trajectories over the l
     * points following sampled (id, t) STRQ hits (Def. 5.3). */
-  def tpqMae(recon: collection.Map[(Int, Int), Pt], data: TrajDataset,
-             nQ: Int, l: Int, seed: Long): Double = {
+  def tpqMae(recon: TrajDataset, data: TrajDataset, nQ: Int, l: Int, seed: Long): Double = {
     val rng = new Random(seed)
     var s = 0.0
     var n = 0L
@@ -99,7 +96,7 @@ object Queries {
       val i = rng.nextInt(data.numTrajs)
       val t0 = 1 + rng.nextInt(math.max(1, data.len - l))
       for (t <- (t0 + 1) to math.min(data.len, t0 + l)) {
-        recon.get((i, t)).foreach { p => s += Geo.toMeters(p.dist(data.point(i, t))); n += 1 }
+        s += Geo.toMeters(recon.point(i, t).dist(data.point(i, t))); n += 1
       }
     }
     if (n == 0) 0.0 else s / n
@@ -108,23 +105,18 @@ object Queries {
   /** Table 4: average fraction of trajectories whose reconstruction lies
     * within `radius` of the query point — the candidate set an exact-match
     * query must visit after pruning with the summary-as-index. */
-  def visitedRatio(recon: collection.Map[(Int, Int), Pt], data: TrajDataset,
-                   qs: Seq[Strq], radius: Double): Double = {
+  def visitedRatio(recon: TrajDataset, qs: Seq[Strq], radius: Double): Double = {
     if (qs.isEmpty) return 0.0
     val ratios = qs.map { q =>
       val qp = Pt(q.x, q.y)
-      val c = (0 until data.numTrajs).count(i => recon.get((i, q.t)).exists(_.dist(qp) <= radius))
-      c.toDouble / data.numTrajs
+      val c = (0 until recon.numTrajs).count(i => recon.point(i, q.t).dist(qp) <= radius)
+      c.toDouble / recon.numTrajs
     }
     ratios.sum / ratios.size
   }
 
   /** Maximum observed reconstruction deviation (degrees) — the pruning
     * radius a method without an analytic bound must use for exact queries. */
-  def maxDeviationDeg(recon: collection.Map[(Int, Int), Pt], data: TrajDataset): Double = {
-    var m = 0.0
-    for (t <- 1 to data.len; i <- 0 until data.numTrajs)
-      recon.get((i, t)).foreach { p => val d = p.dist(data.point(i, t)); if (d > m) m = d }
-    m
-  }
+  def maxDeviationDeg(recon: TrajDataset, data: TrajDataset): Double =
+    deviations(recon, data).foldLeft(0.0)(math.max)
 }

@@ -43,11 +43,12 @@ class GoldenHashSpec extends AnyFunSuite {
     f.hex
   }
 
-  /** A Table 2/4 pipeline's output: reconstructions sorted by (id, t), then
+  /** A Table 2/4 pipeline's output: reconstructions in (id, t) order, then
     * the per-timestamp codeword counts sorted by t. */
   private def methodRun(run: MethodRun): String = {
     val f = new Fingerprint
-    for (((id, t), p) <- run.recon.toSeq.sortBy(_._1)) { f.long(id); f.long(t); f.pt(p) }
+    val r = run.recon
+    for (id <- 0 until r.numTrajs; t <- 1 to r.len) { f.long(id); f.long(t); f.pt(r.point(id, t)) }
     for ((t, v) <- run.vPerT.toSeq.sorted) { f.long(t); f.long(v) }
     f.hex
   }

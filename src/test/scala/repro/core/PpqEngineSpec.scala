@@ -3,7 +3,6 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.QTrajectory
 import repro.data.{TrajDataset, TrajGen}
-import scala.util.Random
 
 class PpqEngineSpec extends AnyFunSuite {
 
@@ -196,5 +195,45 @@ class PpqEngineSpec extends AnyFunSuite {
       intercept[UnsupportedOperationException](enc.summaryBits)
       intercept[UnsupportedOperationException](enc.compressionRatio)
     }
+  }
+
+  test("PpqParams rejects an ε₁ / g_s ratio that overflows the 4096-cell quadtree") {
+    val e = intercept[IllegalArgumentException](PpqParams(eps1 = 1.0, gs = Some(1e-4)))
+    assert(e.getMessage.contains("ε₁ = 1.0") && e.getMessage.contains("g_s = 1.0E-4") &&
+      e.getMessage.contains("4096"), e.getMessage)
+    // 2·ε₁ / g_s = 4096 is the largest grid that fits, 4098 does not
+    val gs = 1.0 / 1024
+    assert(Cqc.sideFor(2.0, gs) == 4096 && PpqParams(eps1 = 2.0, gs = Some(gs)).eps1 == 2.0)
+    val over = intercept[IllegalArgumentException](PpqParams(eps1 = 2.0 + gs, gs = Some(gs)))
+    assert(over.getMessage.contains("side 4098"), over.getMessage)
+  }
+
+  test("PpqParams rejects g_s = 0 and a negative g_s") {
+    for (g <- Seq(0.0, -0.0, -1e-4)) {
+      val e = intercept[IllegalArgumentException](PpqParams(gs = Some(g)))
+      assert(e.getMessage.contains("g_s"), e.getMessage)
+    }
+  }
+
+  test("PpqParams rejects a non-finite g_s") {
+    for (g <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException](PpqParams(gs = Some(g)))
+      assert(e.getMessage.contains("g_s"), e.getMessage)
+    }
+  }
+
+  test("PpqParams rejects a non-positive or non-finite ε₁, with or without CQC") {
+    for (eps <- Seq(0.0, -0.001, Double.NaN, Double.PositiveInfinity); gs <- Seq(None, Some(1e-4))) {
+      val e = intercept[IllegalArgumentException](PpqParams(eps1 = eps, gs = gs))
+      assert(e.getMessage.contains("ε₁"), e.getMessage)
+    }
+  }
+
+  test("PpqParams rejects k < 1") {
+    for (k <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](PpqParams(k = k))
+      assert(e.getMessage.contains("k must be at least 1"), e.getMessage)
+    }
+    assert(PpqParams(k = 1).k == 1)
   }
 }

@@ -19,7 +19,15 @@ class TablesSpec extends AnyFunSuite {
   }
 
   test("every run reconstructs every point") {
-    for (r <- runs) assert(r.recon.size == tiny.numPoints, s"${r.name}: ${r.recon.size}")
+    // a reconstruction is a dataset named after its method, on the source's
+    // ids, timestamps and bbox; a point left unwritten fails its construction
+    for (r <- runs) {
+      assert(r.recon.name == r.name && r.recon.bbox == tiny.bbox, r.name)
+      assert(r.recon.numTrajs == tiny.numTrajs && r.recon.len == tiny.len, r.name)
+    }
+    val e = intercept[IllegalArgumentException](
+      PerTimestep.runIndependent("no-op", tiny, _ => 1, (pts, _, _) => new Array[Pt](pts.length), 0L))
+    assert(e.getMessage.contains("no-op"), e.getMessage)
   }
 
   test("PPQ-A records a positive codeword budget per timestamp") {

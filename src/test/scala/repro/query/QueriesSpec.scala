@@ -12,16 +12,16 @@ class QueriesSpec extends SparkSpec {
   private lazy val data = TrajGen.portoLike(60, 30, seed = 31)
   private val gc = Geo.toDegrees(100.0)
 
-  /** Identity reconstruction: recon == raw. */
-  private lazy val identity: Map[(Int, Int), Pt] =
-    (for (t <- 1 to data.len; i <- 0 until data.numTrajs) yield ((i, t), data.point(i, t))).toMap
+  /** A reconstruction that moves every raw point by `f`, in (id, t) order.
+    * The identity reconstruction is `data` itself. */
+  private def mapped(f: Pt => Pt): TrajDataset = data.copy(name = "mapped", trajs = data.trajs.map(_.map(f)))
 
   test("MAE of the identity reconstruction is zero") {
-    assert(Queries.maeMeters(identity, data) == 0.0)
+    assert(Queries.maeMeters(data, data) == 0.0)
   }
 
   test("MAE of a shifted reconstruction equals the shift") {
-    val shifted = identity.map { case (k, p) => k -> Pt(p.x + Geo.toDegrees(50.0), p.y) }
+    val shifted = mapped(p => Pt(p.x + Geo.toDegrees(50.0), p.y))
     assert(math.abs(Queries.maeMeters(shifted, data) - 50.0) < 1e-6)
   }
 
@@ -34,7 +34,7 @@ class QueriesSpec extends SparkSpec {
 
   test("approxByCell on identity reconstruction equals ground truth") {
     for (q <- Queries.sampleQueries(data, 50, seed = 2)) {
-      assert(Queries.approxByCell(identity, data, q, gc) == Queries.groundTruth(data, q, gc))
+      assert(Queries.groundTruth(data.copy(name = "identity"), q, gc) == Queries.groundTruth(data, q, gc))
     }
   }
 
@@ -54,14 +54,14 @@ class QueriesSpec extends SparkSpec {
     val rng = new Random(3)
     val radius = math.sqrt(2.0) / 2.0 * Geo.toDegrees(50.0)
     // perturb every reconstruction within the CQC bound
-    val perturbed = identity.map { case (k, p) =>
+    val perturbed = mapped { p =>
       val ang = rng.nextDouble() * 2 * math.Pi
       val rad = rng.nextDouble() * radius
-      k -> Pt(p.x + rad * math.cos(ang), p.y + rad * math.sin(ang))
+      Pt(p.x + rad * math.cos(ang), p.y + rad * math.sin(ang))
     }
     for (q <- Queries.sampleQueries(data, 80, seed = 4)) {
       val truth = Queries.groundTruth(data, q, gc)
-      val cands = Queries.localSearchCandidates(perturbed, data, q, gc, radius)
+      val cands = Queries.localSearchCandidates(perturbed, q, gc, radius)
       assert(truth.subsetOf(cands), s"missed ${truth -- cands}")
       val refined = Queries.refineWithRaw(cands, data, q, gc)
       val (p, r) = Queries.precisionRecall(refined, truth)
@@ -84,9 +84,12 @@ class QueriesSpec extends SparkSpec {
       Pt(x1, ym) -> false, Pt(nextDown(x1), ym) -> true, Pt(nextUp(x1), ym) -> false,
       Pt(xm, y0) -> true, Pt(xm, nextDown(y0)) -> false, Pt(xm, nextUp(y0)) -> true,
       Pt(xm, y1) -> false, Pt(xm, nextDown(y1)) -> true, Pt(xm, nextUp(y1)) -> false)
-    val recon = probes.indices.map(i => (i, q.t) -> probes(i)._1).toMap
     val inside = probes.indices.filter(i => probes(i)._2).toSet
+    // the map form and the dataset form (trajectory i at probe i at every t)
+    val recon = probes.indices.map(i => (i, q.t) -> probes(i)._1).toMap
     assert(Queries.localSearchCandidates(recon, data, q, gc, radius) == inside)
+    val reconData = TrajDataset("probes", probes.map(p => Array.fill(q.t)(p._1)).toIndexedSeq, data.bbox)
+    assert(Queries.localSearchCandidates(reconData, q, gc, radius) == inside)
   }
 
   test("groundTruth, approxByCell and refineWithRaw place points on cell edges by floor((p - origin) / g_c)") {
@@ -104,41 +107,40 @@ class QueriesSpec extends SparkSpec {
     val expected = pts.indices.filter(i => cell(pts(i)) == ((cx, cy))).toSet
     assert(expected.nonEmpty && expected.size < pts.size)
     assert(Queries.groundTruth(edges, q, gc) == expected)
-    assert(Queries.approxByCell(pts.indices.map(i => (i, 1) -> pts(i)).toMap, edges, q, gc) == expected)
     assert(Queries.refineWithRaw(pts.indices.toSet, edges, q, gc) == expected)
   }
 
   test("without local search, bounded perturbations lose recall at cell borders") {
     val rng = new Random(5)
     val radius = Geo.toDegrees(60.0)
-    val perturbed = identity.map { case (k, p) =>
+    val perturbed = mapped { p =>
       val ang = rng.nextDouble() * 2 * math.Pi
-      k -> Pt(p.x + radius * math.cos(ang), p.y + radius * math.sin(ang))
+      Pt(p.x + radius * math.cos(ang), p.y + radius * math.sin(ang))
     }
     val recalls = Queries.sampleQueries(data, 100, seed = 6).map { q =>
-      Queries.precisionRecall(Queries.approxByCell(perturbed, data, q, gc),
+      Queries.precisionRecall(Queries.groundTruth(perturbed, q, gc),
         Queries.groundTruth(data, q, gc))._2
     }
     assert(recalls.sum / recalls.size < 1.0)
   }
 
   test("tpqMae of identity is zero, of shifted is the shift") {
-    assert(Queries.tpqMae(identity, data, 20, 10, seed = 7) == 0.0)
-    val shifted = identity.map { case (k, p) => k -> Pt(p.x, p.y + Geo.toDegrees(30.0)) }
+    assert(Queries.tpqMae(data, data, 20, 10, seed = 7) == 0.0)
+    val shifted = mapped(p => Pt(p.x, p.y + Geo.toDegrees(30.0)))
     assert(math.abs(Queries.tpqMae(shifted, data, 20, 10, seed = 7) - 30.0) < 1e-6)
   }
 
   test("visitedRatio grows with radius and is within [0,1]") {
     val qs = Queries.sampleQueries(data, 30, seed = 8)
-    val small = Queries.visitedRatio(identity, data, qs, Geo.toDegrees(10.0))
-    val large = Queries.visitedRatio(identity, data, qs, Geo.toDegrees(2000.0))
+    val small = Queries.visitedRatio(data, qs, Geo.toDegrees(10.0))
+    val large = Queries.visitedRatio(data, qs, Geo.toDegrees(2000.0))
     assert(small >= 0.0 && large <= 1.0)
     assert(small <= large)
     assert(small > 0.0) // the queried trajectory itself is within any radius
   }
 
   test("maxDeviationDeg of identity is zero") {
-    assert(Queries.maxDeviationDeg(identity, data) == 0.0)
+    assert(Queries.maxDeviationDeg(data, data) == 0.0)
   }
 
   // --- Oracle-checked DataFrame ground truth: the STRQ cell predicate is

@@ -148,7 +148,6 @@ class SparkPpqSpec extends SparkSpec {
   }
 
   test("TPQ returns the sub-trajectories of the candidate ids") {
-    import spark.implicits._
     val q = Queries.sampleQueries(data, 1, seed = 4).head.copy(t = 5)
     val radius = math.sqrt(2.0) / 2.0 * params.gs.get
     val cands = SparkPpq.strqExact(summary.toDF(), rawDf, q.x, q.y, q.t, gc,
