@@ -8,7 +8,6 @@ import scala.util.Random
   * timestamp ({T_i^t}); alignment mirrors that model. */
 final case class TrajDataset(name: String, trajs: IndexedSeq[Array[Pt]], bbox: Rect) {
   require(trajs.nonEmpty && trajs.forall(_.length == trajs.head.length), "trajectories must be aligned")
-  require(trajs.forall(_.forall(_ != null)), s"$name: a trajectory has no point at some timestamp")
   val numTrajs: Int = trajs.length
   val len: Int = trajs.head.length
   def numPoints: Long = numTrajs.toLong * len

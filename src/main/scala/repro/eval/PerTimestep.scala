@@ -92,10 +92,11 @@ object PerTimestep {
   }
 
   /** Reconstruction `name` of `data`: `step(t, trajs)` writes t's points at
-    * trajs(id)(t - 1), for t = 1..len; `TrajDataset` rejects a gap. */
+    * trajs(id)(t - 1), for t = 1..len, and must leave no gap. */
   private def reconstruct(name: String, data: TrajDataset)(step: (Int, Array[Array[Pt]]) => Unit): TrajDataset = {
     val trajs = Array.fill(data.numTrajs)(new Array[Pt](data.len))
     for (t <- 1 to data.len) step(t, trajs)
+    require(trajs.forall(_.forall(_ != null)), s"$name left a point unreconstructed")
     TrajDataset(name, trajs.toIndexedSeq, data.bbox)
   }
 
