@@ -25,8 +25,15 @@ class GoldenHashSpec extends AnyFunSuite {
   }
 
   private def encode(data: TrajDataset, params: PpqParams): String = {
-    val enc = new PpqEncoder(params)
     val f = new Fingerprint
+    encodeInto(f, data, params)
+    f.hex
+  }
+
+  /** Feeds every step's codes, the codebook, the summary size and the
+    * per-step coefficients and assignments to `f`; returns the codes by t. */
+  private def encodeInto(f: Fingerprint, data: TrajDataset, params: PpqParams): Map[Int, Array[CodedPoint]] = {
+    val enc = new PpqEncoder(params)
     val codesAt = (1 to data.len).map(t => t -> enc.step(t, data.pointsAt(t))).toMap
     for (t <- 1 to data.len; cp <- codesAt(t)) {
       f.long(cp.trajId); f.long(cp.t); f.long(cp.part); f.long(cp.b)
@@ -39,6 +46,25 @@ class GoldenHashSpec extends AnyFunSuite {
       // each step's point→partition pairs, sorted, as the summary once stored them
       for ((id, part) <- codesAt(s.t).map(cp => (cp.trajId, cp.part)).sorted) { f.long(id); f.long(part) }
       for ((part, cs) <- s.coeffs.toSeq.sortBy(_._1)) { f.long(part); cs.foreach(f.double) }
+    }
+    codesAt
+  }
+
+  /** `encode` under `Autocorr`, then the partitioner's counters after each
+    * step: an `IncrementalPartitioner` fed the AR features the encoder's
+    * frontend partitions on must give the codes' partitions, and its
+    * `splits`, `merges` and `cappedSplits` are hashed. */
+  private def encodeWithCounters(data: TrajDataset, params: PpqParams): String = {
+    require(params.mode == PartitionMode.Autocorr)
+    val f = new Fingerprint
+    val codesAt = encodeInto(f, data, params)
+    val ip = new IncrementalPartitioner(params.epsP, params.seed)
+    val ids = Array.range(0, data.numTrajs)
+    for (t <- 1 to data.len) {
+      val feats = ids.map(i => Predictor.arFeatures((1 until t).map(data.point(i, _)), params.k, PredictiveFrontend.ArWindow))
+      val parts = ip.update(ids, feats)
+      assert(parts.sameElements(codesAt(t).map(_.part)), s"t=$t")
+      f.long(ip.splits); f.long(ip.merges); f.long(ip.cappedSplits)
     }
     f.hex
   }
@@ -134,6 +160,11 @@ class GoldenHashSpec extends AnyFunSuite {
     ("PPQ-A porto 1600x8 seed 1010",
       () => encode(TrajGen.portoLike(1600, 8, 1010), porto.params(PartitionMode.Autocorr, useCqc = true)),
       "1493561dc8126a6b"),
+    // t = 5 re-partitions 1,600 trajectories, stops at the round cap and
+    // merges densely; the counters pin the split and merge steps.
+    ("PPQ-A porto 1600x8 seed 1010 with splits, merges and capped splits",
+      () => encodeWithCounters(TrajGen.portoLike(1600, 8, 1010), porto.params(PartitionMode.Autocorr, useCqc = true)),
+      "530de74d78a9e03d"),
     ("PPQ-A-basic geolife 150x40 seed 43",
       () => encode(TrajGen.geolifeLike(150, 40, 43), geolife.params(PartitionMode.Autocorr, useCqc = false)),
       "3f392af35df73137"),
@@ -143,6 +174,10 @@ class GoldenHashSpec extends AnyFunSuite {
     ("PPQ-S geolife 300x40 seed 43",
       () => encode(TrajGen.geolifeLike(300, 40, 43), geolife.params(PartitionMode.Spatial, useCqc = true)),
       "83cc8bad2f46ad9f"),
+    // A long stream grows a codebook whose grid cells hold many words.
+    ("PPQ-S geolife 1200x260 seed 43",
+      () => encode(TrajGen.geolifeLike(1200, 260, 43), geolife.params(PartitionMode.Spatial, useCqc = true)),
+      "30ce39e7540588aa"),
     ("E-PQ porto 200x30 seed 7",
       () => encode(TrajGen.portoLike(200, 30, 7), porto.params(PartitionMode.Single, useCqc = true)),
       "466ad7d7a82d18b6"),
