@@ -6,13 +6,19 @@ import scala.collection.mutable
   * assignment (Def. 3.2 / Eq. 3). New codewords are appended whenever a
   * sample has no codeword within the bound — the paper's "additional
   * codewords are added to update C" rule for dynamic data. A uniform grid
-  * hash of cell size eps makes nearest-within-eps O(1) amortised. */
+  * hash of cell size eps makes nearest-within-eps O(1) amortised: each
+  * cell is a slot of a primitive `SlotTable` and chains its words in
+  * insertion order (DESIGN.md §7.2). */
 final class ErrorBoundedCodebook(val eps: Double) {
   require(eps > 0, "eps must be positive")
   private val words = mutable.ArrayBuffer.empty[Pt]
-  private val grid = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Int]]
+  private var xs = new Array[Double](64)
+  private var ys = new Array[Double](64)
+  private var next = new Array[Int](64) // the next word in the same cell, or -1
+  private val cells = new SlotTable
+  private var head = new Array[Int](64) // first and last word of each cell slot
+  private var tail = new Array[Int](64)
 
-  private def key(cx: Long, cy: Long): Long = (cx << 32) ^ (cy & 0xffffffffL)
   private def cellX(p: Pt): Long = math.floor(p.x / eps).toLong
   private def cellY(p: Pt): Long = math.floor(p.y / eps).toLong
 
@@ -21,7 +27,9 @@ final class ErrorBoundedCodebook(val eps: Double) {
   def codewords: IndexedSeq[Pt] = words.toIndexedSeq
 
   /** Index of the nearest codeword within eps, or -1 if none qualifies.
-    * A ball of radius eps around p only reaches the 3×3 cell neighbourhood. */
+    * A ball of radius eps around p only reaches the 3×3 cell neighbourhood.
+    * Cells are visited row by row and each cell's words in insertion order;
+    * `<=` lets the last of equally near words win. */
   def nearestWithin(p: Pt): Int = {
     val cx = cellX(p); val cy = cellY(p)
     var best = -1
@@ -30,15 +38,16 @@ final class ErrorBoundedCodebook(val eps: Double) {
     while (dx <= 1) {
       var dy = -1L
       while (dy <= 1) {
-        grid.get(key(cx + dx, cy + dy)) match {
-          case Some(ids) =>
-            var i = 0
-            while (i < ids.length) {
-              val d = words(ids(i)).dist(p)
-              if (d <= bestD) { bestD = d; best = ids(i) }
-              i += 1
-            }
-          case None =>
+        val c = cells.slot(SlotTable.cellKey(cx + dx, cy + dy))
+        if (c >= 0) {
+          var w = head(c)
+          while (w >= 0) {
+            // Pt.dist's arithmetic, on the stored coordinates
+            val ex = xs(w) - p.x; val ey = ys(w) - p.y
+            val d = math.sqrt(ex * ex + ey * ey)
+            if (d <= bestD) { bestD = d; best = w }
+            w = next(w)
+          }
         }
         dy += 1
       }
@@ -56,7 +65,18 @@ final class ErrorBoundedCodebook(val eps: Double) {
   def add(p: Pt): Int = {
     val i = words.length
     words += p
-    grid.getOrElseUpdate(key(cellX(p), cellY(p)), mutable.ArrayBuffer.empty) += i
+    if (i == xs.length) {
+      xs = java.util.Arrays.copyOf(xs, 2 * i); ys = java.util.Arrays.copyOf(ys, 2 * i)
+      next = java.util.Arrays.copyOf(next, 2 * i)
+    }
+    xs(i) = p.x; ys(i) = p.y; next(i) = -1
+    val fresh = cells.size
+    val c = cells.slotOrAdd(SlotTable.cellKey(cellX(p), cellY(p)))
+    if (c == fresh) { // a new cell
+      if (c == head.length) { head = java.util.Arrays.copyOf(head, 2 * c); tail = java.util.Arrays.copyOf(tail, 2 * c) }
+      head(c) = i
+    } else next(tail(c)) = i
+    tail(c) = i
     i
   }
 }
@@ -97,16 +117,16 @@ object KMeans {
     }
   }
 
-  /** Squared distance from a to the vector stored at flat(off until off + a.length). */
-  private[core] def dist2(a: Array[Double], flat: Array[Double], off: Int): Double = {
+  /** Squared distance between a(aOff until aOff + dim) and b(bOff until bOff + dim). */
+  private def dist2(a: Array[Double], aOff: Int, b: Array[Double], bOff: Int, dim: Int): Double = {
     var s = 0.0
     var i = 0
-    while (i < a.length) { val d = a(i) - flat(off + i); s += d * d; i += 1 }
+    while (i < dim) { val d = a(aOff + i) - b(bOff + i); s += d * d; i += 1 }
     s
   }
 
   /** Euclidean distance between a and b, summed as `dist2` sums. */
-  private[core] def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(dist2(a, b, 0))
+  private[core] def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(dist2(a, 0, b, 0, a.length))
 
   /** Insertion sort of centroid ids by coordinate 0. Centroids move little
     * between iterations, so starting from the previous order this is close
@@ -137,6 +157,9 @@ object KMeans {
     var m = n
     while (m >= 2) { val j = rng.nextInt(m); val t = perm(m - 1); perm(m - 1) = perm(j); perm(j) = t; m -= 1 }
     val cents = Array.tabulate(k)(c => vecs(perm(c)).clone)
+    val flat = new Array[Double](n * dim) // point i at i * dim
+    var i = 0
+    while (i < n) { System.arraycopy(vecs(i), 0, flat, i * dim, dim); i += 1 }
     val assign = new Array[Int](n)
     java.util.Arrays.fill(assign, -1)
     val order = Array.range(0, k) // centroid ids by coordinate 0
@@ -152,9 +175,9 @@ object KMeans {
       sortByFirst(order, cents)
       var p = 0
       while (p < k) { posOf(order(p)) = p; System.arraycopy(cents(order(p)), 0, sorted, p * dim, dim); p += 1 }
-      var i = 0
+      i = 0
       while (i < n) {
-        val v = vecs(i); val x = v(0)
+        val off = i * dim; val x = flat(off)
         // Start at the previous centroid, which is usually still the
         // nearest; on the first pass, at the first centroid not left of x.
         var lo = 0
@@ -170,13 +193,13 @@ object KMeans {
         var best = 0; var bd = Double.MaxValue
         p = lo
         while (p < k && { val dx = x - sorted(p * dim); dx > 0 || dx * dx <= bd }) {
-          val c = order(p); val d = dist2(v, sorted, p * dim)
+          val c = order(p); val d = dist2(flat, off, sorted, p * dim, dim)
           if (d < bd || (d == bd && c < best)) { bd = d; best = c }
           p += 1
         }
         p = lo - 1
         while (p >= 0 && { val dx = x - sorted(p * dim); dx < 0 || dx * dx <= bd }) {
-          val c = order(p); val d = dist2(v, sorted, p * dim)
+          val c = order(p); val d = dist2(flat, off, sorted, p * dim, dim)
           if (d < bd || (d == bd && c < best)) { bd = d; best = c }
           p -= 1
         }
@@ -190,7 +213,7 @@ object KMeans {
       while (i < n) {
         val c = assign(i); cnt(c) += 1
         var d = 0
-        while (d < dim) { sums(c * dim + d) += vecs(i)(d); d += 1 }
+        while (d < dim) { sums(c * dim + d) += flat(i * dim + d); d += 1 }
         i += 1
       }
       var c = 0

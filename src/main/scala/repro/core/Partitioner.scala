@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Partitioning for grouped modelling (§3.2.1): grow the number of
   * partitions q round by round until every member is within ε_p of its
   * centroid (Eq. 7 for spatial features, Eq. 8 for autocorrelation
@@ -52,12 +50,14 @@ object Partitioner {
 final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
   import KMeans.dist
 
-  private val assignOf = mutable.HashMap.empty[Int, Int]   // trajId -> partition id
+  // The partition of each trajectory, at its slot in `trajSlots`.
+  private val trajSlots = new SlotTable
+  private var partOf = new Array[Int](16)
   // Partitions alive after the last update: ids and centroids by slot, and
   // the slot of each id.
   private var liveIds = Array.emptyIntArray
   private var liveCents = Array.empty[Array[Double]]
-  private val slotOf = mutable.HashMap.empty[Int, Int]
+  private val liveSlots = new SlotTable
   private var nextPart = 0
   var splits = 0
   var merges = 0
@@ -68,14 +68,20 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
 
   def numPartitions: Int = liveIds.length
 
-  /** Mean of vecs(idx(from)), ..., vecs(idx(until - 1)), summed in that order. */
-  private def mean(vecs: Array[Array[Double]], idx: Array[Int], from: Int, until: Int): Array[Double] = {
+  /** Mean of vecs(idx(j)) for j in [from, until) and then [from2, until2),
+    * summed in that order. */
+  private def mean(vecs: Array[Array[Double]], idx: Array[Int], from: Int, until: Int,
+                   from2: Int = 0, until2: Int = 0): Array[Double] = {
     val dim = vecs(idx(from)).length
     val c = new Array[Double](dim)
-    var j = from
-    while (j < until) { val v = vecs(idx(j)); var i = 0; while (i < dim) { c(i) += v(i); i += 1 }; j += 1 }
+    def sum(from: Int, until: Int): Unit = {
+      var j = from
+      while (j < until) { val v = vecs(idx(j)); var i = 0; while (i < dim) { c(i) += v(i); i += 1 }; j += 1 }
+    }
+    sum(from, until); sum(from2, until2)
+    val count = until - from + until2 - from2
     var i = 0
-    while (i < dim) { c(i) /= (until - from); i += 1 }
+    while (i < dim) { c(i) /= count; i += 1 }
     c
   }
 
@@ -112,7 +118,7 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
     // nearest live partition (or seed the first one). Groups are numbered
     // in order of first appearance.
     if (liveIds.isEmpty) {
-      liveIds = Array(nextPart); liveCents = Array(vecs(0).clone); slotOf(nextPart) = 0; nextPart += 1
+      liveIds = Array(nextPart); liveCents = Array(vecs(0).clone); liveSlots.slotOrAdd(nextPart); nextPart += 1
     }
     val groupOfSlot = Array.fill(liveIds.length)(-1)
     val groupSlot = new Array[Int](liveIds.length)
@@ -120,7 +126,8 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
     val grp = new Array[Int](n)
     var i = 0
     while (i < n) {
-      val prev = slotOf.getOrElse(assignOf.getOrElse(ids(i), -1), -1)
+      val ts = trajSlots.slot(ids(i))
+      val prev = if (ts < 0) -1 else liveSlots.slot(partOf(ts))
       val s = if (prev >= 0) prev else nearestLive(vecs(i))
       if (groupOfSlot(s) < 0) { groupOfSlot(s) = groups; groupSlot(groups) = s; groups += 1 }
       grp(i) = groupOfSlot(s)
@@ -164,56 +171,18 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
       g += 1
     }
     // Step 3: merge centroids within ε_p, each partition at most once:
-    // a merges with the first unmerged b > a within ε_p. Centroids stay
-    // fixed during the loop (merged pairs are recomputed after it), so b is
-    // searched by sweeping outward from a through the coordinate-0 order of
-    // the partitions not yet visited or merged; sqrt(gap²) never exceeds
-    // `dist`, so a sweep stops only past partitions that cannot qualify
-    // (DESIGN.md §7.2).
-    val byX = Array.range(0, m).sortBy(r => rcent(r)(0))(Ordering.Double.TotalOrdering)
-    val posX = new Array[Int](m)
-    var p = 0
-    while (p < m) { posX(byX(p)) = p; p += 1 }
-    val next = Array.range(1, m + 1) // linked list over positions; m and -1 end it
-    val prev = Array.range(-1, m - 1)
-    def unlink(p: Int): Unit = {
-      if (prev(p) >= 0) next(prev(p)) = next(p)
-      if (next(p) < m) prev(next(p)) = prev(p)
-    }
-    def beyond(ca: Array[Double], cb: Array[Double]): Boolean = { val d = ca(0) - cb(0); math.sqrt(d * d) > epsP }
+    // a merges with the smallest unmerged b > a within ε_p. Centroids stay
+    // fixed during the loop (merged pairs are recomputed after it).
+    val partner = IncrementalPartitioner.mergePartners(rcent, m, epsP)
     val into = Array.range(0, m) // the partition each one ends in
-    val partner = Array.fill(m)(-1)
-    var a = 0
-    while (a < m) {
-      if (into(a) == a) { // not merged into an earlier partition
-        val ca = rcent(a)
-        unlink(posX(a)) // its own links still lead to its neighbours
-        var b = m
-        p = next(posX(a))
-        while (p < m && !beyond(ca, rcent(byX(p)))) {
-          if (byX(p) < b && dist(ca, rcent(byX(p))) <= epsP) b = byX(p)
-          p = next(p)
-        }
-        p = prev(posX(a))
-        while (p >= 0 && !beyond(ca, rcent(byX(p)))) {
-          if (byX(p) < b && dist(ca, rcent(byX(p))) <= epsP) b = byX(p)
-          p = prev(p)
-        }
-        if (b < m) {
-          unlink(posX(b))
-          into(b) = a; partner(a) = b
-          merges += 1
-        }
-      }
-      a += 1
-    }
     val (rStart, rIdx) = buckets(rOf, m)
-    a = 0
+    var a = 0
     while (a < m) {
       val b = partner(a)
       if (b >= 0) {
-        val both = rIdx.slice(rStart(a), rStart(a + 1)) ++ rIdx.slice(rStart(b), rStart(b + 1))
-        rcent(a) = mean(vecs, both, 0, both.length)
+        into(b) = a
+        merges += 1
+        rcent(a) = mean(vecs, rIdx, rStart(a), rStart(a + 1), rStart(b), rStart(b + 1))
       }
       a += 1
     }
@@ -221,13 +190,103 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
     // so they don't attract strays.
     val out = new Array[Int](n)
     i = 0
-    while (i < n) { out(i) = rid(into(rOf(i))); assignOf(ids(i)) = out(i); i += 1 }
-    val kept = (0 until m).filter(r => into(r) == r).toArray
-    liveIds = kept.map(rid)
-    liveCents = kept.map(rcent)
-    slotOf.clear()
-    var s = 0
-    while (s < liveIds.length) { slotOf(liveIds(s)) = s; s += 1 }
+    while (i < n) {
+      out(i) = rid(into(rOf(i)))
+      val ts = trajSlots.slotOrAdd(ids(i))
+      if (ts == partOf.length) partOf = java.util.Arrays.copyOf(partOf, 2 * ts)
+      partOf(ts) = out(i)
+      i += 1
+    }
+    var live = 0
+    a = 0
+    while (a < m) { if (into(a) == a) live += 1; a += 1 }
+    liveIds = new Array[Int](live)
+    liveCents = new Array[Array[Double]](live)
+    liveSlots.clear()
+    a = 0
+    while (a < m) {
+      if (into(a) == a) { val s = liveSlots.slotOrAdd(rid(a)); liveIds(s) = rid(a); liveCents(s) = rcent(a) }
+      a += 1
+    }
     out
+  }
+}
+
+object IncrementalPartitioner {
+  import KMeans.dist
+
+  /** The merge step over cents(0 until m): visiting a in increasing order,
+    * an a not yet merged takes as partner(a) the smallest b > a not yet
+    * merged with dist ≤ ε_p, if any; partner(a) is -1 otherwise.
+    *
+    * b is searched in a uniform grid over the first two centroid
+    * coordinates (one for 1-D vectors) with cells of side w = ε_p·(1 +
+    * 2⁻¹⁰). Each cell chains its partitions in increasing index, so a
+    * cell's first unmerged hit is its smallest. Any b that the exact test
+    * accepts lies in a's cell or a neighbouring one as long as every grid
+    * coordinate is within 2⁴⁰·w of 0 and ε_p ≥ 1e-100 (DESIGN.md §7.2);
+    * otherwise every b > a is tested. */
+  private[core] def mergePartners(cents: Array[Array[Double]], m: Int, epsP: Double): Array[Int] = {
+    val partner = Array.fill(m)(-1)
+    val gone = new Array[Boolean](m) // visited as a, or merged into an earlier partition
+    val w = epsP * (1 + 1.0 / 1024)
+    val limit = w * (1L << 40).toDouble
+    val twoD = cents(0).length >= 2
+    var gridded = epsP >= 1e-100 && java.lang.Double.isFinite(limit)
+    var r = 0
+    while (gridded && r < m) {
+      gridded = math.abs(cents(r)(0)) <= limit && (!twoD || math.abs(cents(r)(1)) <= limit)
+      r += 1
+    }
+    val cx = new Array[Long](m); val cy = new Array[Long](m)
+    val head = new Array[Int](m); val next = new Array[Int](m)
+    val cells = new SlotTable
+    if (gridded) {
+      val tail = new Array[Int](m)
+      r = 0
+      while (r < m) {
+        cx(r) = math.floor(cents(r)(0) / w).toLong
+        if (twoD) cy(r) = math.floor(cents(r)(1) / w).toLong
+        next(r) = -1
+        val fresh = cells.size
+        val c = cells.slotOrAdd(SlotTable.cellKey(cx(r), cy(r)))
+        if (c == fresh) head(c) = r else next(tail(c)) = r
+        tail(c) = r
+        r += 1
+      }
+    }
+    val dyMax = if (twoD) 1L else 0L
+    var a = 0
+    while (a < m) {
+      if (!gone(a)) {
+        val ca = cents(a)
+        gone(a) = true
+        var b = m
+        if (gridded) {
+          var dx = -1L
+          while (dx <= 1) {
+            var dy = -dyMax
+            while (dy <= dyMax) {
+              val c = cells.slot(SlotTable.cellKey(cx(a) + dx, cy(a) + dy))
+              if (c >= 0) {
+                while (head(c) >= 0 && gone(head(c))) head(c) = next(head(c))
+                r = head(c)
+                while (r >= 0 && r < b) {
+                  if (!gone(r) && dist(ca, cents(r)) <= epsP) b = r else r = next(r)
+                }
+              }
+              dy += 1
+            }
+            dx += 1
+          }
+        } else {
+          r = a + 1
+          while (r < m && b == m) { if (!gone(r) && dist(ca, cents(r)) <= epsP) b = r; r += 1 }
+        }
+        if (b < m) { gone(b) = true; partner(a) = b }
+      }
+      a += 1
+    }
+    partner
   }
 }

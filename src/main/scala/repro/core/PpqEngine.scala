@@ -57,16 +57,39 @@ object CodebookPolicy {
   final case class KMeansPerStep(v: Int) extends CodebookPolicy
 }
 
-/** The last `cap` points of each trajectory, oldest first. */
+/** The last `cap` points of each trajectory, oldest first. Each
+  * trajectory gets a slot of an id→slot `SlotTable` and a fixed ring of
+  * 2·cap coordinates in `xs` and `ys` from `slot * 2 * cap`; every point is
+  * written twice, at its ring position and cap places later, so the
+  * window is always the contiguous run `start(slot) until start(slot) +
+  * length(slot)`. */
 private[core] final class TrajWindow(cap: Int) {
-  private val byId = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Pt]]
+  private val slots = new SlotTable
+  private var _xs = new Array[Double](16 * 2 * cap)
+  private var _ys = new Array[Double](16 * 2 * cap)
+  private var head = new Array[Int](16) // ring position of the oldest point
+  private var count = new Array[Int](16)
 
-  def apply(id: Int): collection.IndexedSeq[Pt] = byId.getOrElse(id, IndexedSeq.empty)
+  def xs: Array[Double] = _xs
+  def ys: Array[Double] = _ys
+
+  /** The slot of `id`, or -1 if no point of it was added. */
+  def slotOf(id: Int): Int = slots.slot(id)
+  def length(slot: Int): Int = count(slot)
+  /** Index in `xs` and `ys` of the oldest point of `slot`. */
+  def start(slot: Int): Int = slot * 2 * cap + head(slot)
 
   def add(id: Int, p: Pt): Unit = {
-    val b = byId.getOrElseUpdate(id, mutable.ArrayBuffer.empty)
-    b += p
-    if (b.length > cap) b.remove(0)
+    val s = slots.slotOrAdd(id)
+    if (s == count.length) {
+      _xs = java.util.Arrays.copyOf(_xs, 4 * s * cap); _ys = java.util.Arrays.copyOf(_ys, 4 * s * cap)
+      head = java.util.Arrays.copyOf(head, 2 * s); count = java.util.Arrays.copyOf(count, 2 * s)
+    }
+    // A full ring overwrites its oldest point and moves on by one.
+    val pos = if (count(s) < cap) { count(s) += 1; count(s) - 1 } else { val h = head(s); head(s) = (h + 1) % cap; h }
+    val at = s * 2 * cap + pos
+    _xs(at) = p.x; _xs(at + cap) = p.x
+    _ys(at) = p.y; _ys(at + cap) = p.y
   }
 }
 
@@ -75,17 +98,21 @@ private[core] final class TrajWindow(cap: Int) {
   * the raw points. The encoder's frontend and the decoder each keep one
   * and feed it the same reconstructions, so both predict the same point. */
 final class ReconHistory(params: PpqParams) {
-  private val hist = new TrajWindow(params.k)
+  private[core] val window = new TrajWindow(params.k)
+
+  /** Index in `window.xs` of the most recent of `id`'s k reconstructed
+    * points, or -1 while fewer than k are known. */
+  private[core] def newest(id: Int): Int = {
+    val s = window.slotOf(id)
+    if (s < 0 || window.length(s) < params.k) -1 else window.start(s) + params.k - 1
+  }
 
   /** Last k reconstructed points of `id`, most recent first ([t-1, t-2, ...]),
     * or empty while fewer than k are known. */
   def of(id: Int): Array[Pt] = {
-    val b = hist(id)
-    if (b.length < params.k) return Array.empty
-    val out = new Array[Pt](params.k)
-    var j = 0
-    while (j < params.k) { out(j) = b(b.length - 1 - j); j += 1 }
-    out
+    val last = newest(id)
+    if (last < 0) return Array.empty
+    Array.tabulate(params.k)(j => Pt(window.xs(last - j), window.ys(last - j)))
   }
 
   /** Whether `h` (from `of`) holds k points. */
@@ -95,41 +122,47 @@ final class ReconHistory(params: PpqParams) {
   def predict(coeffs: Array[Double], h: Array[Pt]): Pt =
     if (ready(h)) Predictor.predict(coeffs, h) else Pt(0.0, 0.0)
 
-  def add(id: Int, recon: Pt): Unit = hist.add(id, recon)
+  def add(id: Int, recon: Pt): Unit = window.add(id, recon)
 }
 
 /** The shared predictive front half of PPQ: incremental partitioning,
   * per-partition least-squares coefficients, prediction from the last k
   * *reconstructed* points, and history upkeep. */
 final class PredictiveFrontend(val params: PpqParams) {
+  import PredictiveFrontend.{ArWindow, Plan}
   private val history = new ReconHistory(params)
   // raw points, for AR features: the ArWindow rows of the fit and k lags before them
-  private val raw = new TrajWindow(PredictiveFrontend.ArWindow + params.k)
+  private val raw = new TrajWindow(ArWindow + params.k)
   private val keepRaw = params.mode == PartitionMode.Autocorr  // the only mode that reads `raw`
   private val partitioner = new IncrementalPartitioner(params.epsP, params.seed)
-
-  final case class Plan(assign: Array[Int], coeffs: Map[Int, Array[Double]], preds: Array[Pt]) {
-    def numParts: Int = coeffs.size
-  }
 
   def numPartitions: Int = partitioner.numPartitions
 
   def plan(t: Int, points: Array[(Int, Pt)]): Plan = {
-    val ids = points.map(_._1)
+    val n = points.length
+    val k = params.k
     val assign: Array[Int] = params.mode match {
-      case PartitionMode.Single => new Array[Int](points.length)
+      case PartitionMode.Single => new Array[Int](n)
       case PartitionMode.Spatial =>
-        partitioner.update(ids, points.map { case (_, p) => Array(p.x, p.y) })
+        partitioner.update(Array.tabulate(n)(i => points(i)._1),
+                           Array.tabulate(n) { i => val p = points(i)._2; Array(p.x, p.y) })
       case PartitionMode.Autocorr =>
-        partitioner.update(ids, points.map { case (id, _) =>
-          Predictor.arFeatures(raw(id), params.k, PredictiveFrontend.ArWindow)
+        partitioner.update(Array.tabulate(n)(i => points(i)._1), Array.tabulate(n) { i =>
+          val s = raw.slotOf(points(i)._1)
+          if (s < 0) new Array[Double](k)
+          else Predictor.arFeatures(raw.xs, raw.ys, raw.start(s), raw.length(s), k, ArWindow)
         })
     }
     // Visit points grouped by partition, in increasing index within each
     // group: the least-squares sums run in that order.
-    val n = points.length
-    val byPart = Array.tabulate(n)(i => (assign(i).toLong << 32) | i)
+    val byPart = new Array[Long](n)
+    var i = 0
+    while (i < n) { byPart(i) = (assign(i).toLong << 32) | i; i += 1 }
     java.util.Arrays.sort(byPart)
+    val last = new Array[Int](n) // each point's `history.newest`
+    i = 0
+    while (i < n) { last(i) = history.newest(points(i)._1); i += 1 }
+    val hx = history.window.xs; val hy = history.window.ys
     val coeffs = Map.newBuilder[Int, Array[Double]]
     val preds = new Array[Pt](n)
     var from = 0
@@ -137,14 +170,21 @@ final class PredictiveFrontend(val params: PpqParams) {
       val part = (byPart(from) >>> 32).toInt
       var until = from
       while (until < n && (byPart(until) >>> 32).toInt == part) until += 1
-      val members = Array.tabulate(until - from)(j => byPart(from + j).toInt)
-      val hs = members.map(i => history.of(points(i)._1))
-      val ready = members.indices.filter(j => history.ready(hs(j))).toArray
-      val c =
-        if (ready.nonEmpty) Predictor.fit(ready.map(j => hs(j)), ready.map(j => points(members(j))._2), params.k)
-        else new Array[Double](params.k)
+      val eq = new Predictor.NormalEquations(k)
+      var j = from
+      while (j < until) {
+        i = byPart(j).toInt
+        if (last(i) >= 0) { val p = points(i)._2; eq.add(hx, hy, last(i), p.x, p.y) }
+        j += 1
+      }
+      val c = if (eq.rows > 0) eq.solve() else new Array[Double](k)
       coeffs += part -> c
-      members.indices.foreach(j => preds(members(j)) = history.predict(c, hs(j)))
+      j = from
+      while (j < until) {
+        i = byPart(j).toInt
+        preds(i) = if (last(i) >= 0) Predictor.predict(c, hx, hy, last(i)) else Pt(0.0, 0.0)
+        j += 1
+      }
       from = until
     }
     Plan(assign, coeffs.result(), preds)
@@ -166,6 +206,10 @@ final class PredictiveFrontend(val params: PpqParams) {
 
 object PredictiveFrontend {
   private[core] val ArWindow = 12 // raw points per trajectory the AR features are fitted over
+
+  final case class Plan(assign: Array[Int], coeffs: Map[Int, Array[Double]], preds: Array[Pt]) {
+    def numParts: Int = coeffs.size
+  }
 }
 
 /** Algorithm 1 + §3.2: the online partition-wise predictive quantizer,
@@ -245,7 +289,10 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
       (assign, words(_))
     case _ =>
       if (policy == CodebookPolicy.PerStep) cb = new ErrorBoundedCodebook(params.eps1)
-      (errors.map(cb.quantize), cb(_))
+      val bs = new Array[Int](errors.length)
+      var i = 0
+      while (i < errors.length) { bs(i) = cb.quantize(errors(i)); i += 1 }
+      (bs, cb(_))
   }
 
   /** Size of the summary ({P_j[t]}, C, {b_i^t}, CQC, assignments) in bits —

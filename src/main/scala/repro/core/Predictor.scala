@@ -44,28 +44,57 @@ object Predictor {
     x
   }
 
+  /** The ridge-regularised normal equations of the least-squares fit of
+    * P (length k), summed one sample at a time: a sample's history is k
+    * points, most recent first, read backwards from index `last` of
+    * coordinate arrays, so a window buffer feeds them without copying. */
+  private[core] final class NormalEquations(k: Int) {
+    private val m: Array[Array[Double]] = { // plain arrays: `Array.ofDim` would look up a ClassTag
+      val a = new Array[Array[Double]](k)
+      var r = 0
+      while (r < k) { a(r) = new Array[Double](k); r += 1 }
+      a
+    }
+    private val v = new Array[Double](k)
+    var rows = 0
+
+    /** Adds the sample h(a) = (xs(last - a), ys(last - a)), a < k, with
+      * target (tx, ty). */
+    def add(xs: Array[Double], ys: Array[Double], last: Int, tx: Double, ty: Double): Unit = {
+      var a = 0
+      while (a < k) {
+        val ax = xs(last - a); val ay = ys(last - a)
+        v(a) += ax * tx + ay * ty
+        var b = 0
+        while (b < k) { m(a)(b) += ax * xs(last - b) + ay * ys(last - b); b += 1 }
+        a += 1
+      }
+      rows += 1
+    }
+
+    /** P, with 1e-8 added to the diagonal; consumes the sums. */
+    def solve(): Array[Double] = {
+      var d = 0
+      while (d < k) { m(d)(d) += 1e-8; d += 1 }
+      Predictor.solve(m, v)
+    }
+  }
+
   /** Least-squares coefficients P (length k) minimising
     * Σ_i ||target(i) − Σ_j P(j)·hist(i)(j)||₂² where hist(i)(j) is the j-th
     * most recent reconstructed point of sample i. Ridge-regularised normal
     * equations (1e-8 on the diagonal) keep near-collinear histories stable. */
   def fit(hist: Array[Array[Pt]], target: Array[Pt], k: Int): Array[Double] = {
-    val m = Array.ofDim[Double](k, k)
-    val v = new Array[Double](k)
+    val eq = new NormalEquations(k)
+    val xs = new Array[Double](k); val ys = new Array[Double](k)
     var i = 0
     while (i < target.length) {
-      val h = hist(i); val tp = target(i)
       var a = 0
-      while (a < k) {
-        v(a) += h(a).x * tp.x + h(a).y * tp.y
-        var b = 0
-        while (b < k) { m(a)(b) += h(a).x * h(b).x + h(a).y * h(b).y; b += 1 }
-        a += 1
-      }
+      while (a < k) { xs(k - 1 - a) = hist(i)(a).x; ys(k - 1 - a) = hist(i)(a).y; a += 1 }
+      eq.add(xs, ys, k - 1, target(i).x, target(i).y)
       i += 1
     }
-    var d = 0
-    while (d < k) { m(d)(d) += 1e-8; d += 1 }
-    solve(m, v)
+    eq.solve()
   }
 
   def predict(coeffs: Array[Double], hist: Array[Pt]): Pt = {
@@ -75,25 +104,31 @@ object Predictor {
     Pt(px, py)
   }
 
+  /** `predict` over the history (xs(last - j), ys(last - j)), j < k. */
+  private[core] def predict(coeffs: Array[Double], xs: Array[Double], ys: Array[Double], last: Int): Pt = {
+    var px = 0.0; var py = 0.0
+    var j = 0
+    while (j < coeffs.length) { px += coeffs(j) * xs(last - j); py += coeffs(j) * ys(last - j); j += 1 }
+    Pt(px, py)
+  }
+
   /** Lag-k AR(k) coefficients of one trajectory's recent window — the
     * autocorrelation feature a_i^t used for partitioning (§3.2.1). Returns
     * zeros until the trajectory has at least k+2 samples. */
   def arFeatures(series: collection.IndexedSeq[Pt], k: Int, window: Int): Array[Double] = {
     val n = series.length
+    val xs = Array.tabulate(n)(series(_).x); val ys = Array.tabulate(n)(series(_).y)
+    arFeatures(xs, ys, 0, n, k, window)
+  }
+
+  /** `arFeatures` of the series (xs(from + t), ys(from + t)), t < n: the
+    * last `window` samples are fitted on their k predecessors, in t order. */
+  private[core] def arFeatures(xs: Array[Double], ys: Array[Double], from: Int, n: Int, k: Int, window: Int
+                              ): Array[Double] = {
     if (n < k + 2) return new Array[Double](k)
-    val start = math.max(k, n - window)
-    val rows = n - start
-    val hist = new Array[Array[Pt]](rows)
-    val tgt = new Array[Pt](rows)
-    var t = start
-    while (t < n) {
-      val h = new Array[Pt](k)
-      var j = 0
-      while (j < k) { h(j) = series(t - 1 - j); j += 1 }
-      hist(t - start) = h
-      tgt(t - start) = series(t)
-      t += 1
-    }
-    fit(hist, tgt, k)
+    val eq = new NormalEquations(k)
+    var t = math.max(k, n - window)
+    while (t < n) { eq.add(xs, ys, from + t - 1, xs(from + t), ys(from + t)); t += 1 }
+    eq.solve()
   }
 }

@@ -11,9 +11,8 @@ import scala.collection.{Searching, mutable}
   * "Re-build"s a fresh PI (closing the time period) when ADR exceeds ε_d.
   */
 final class TpiIndex(val epsS: Double, val gc: Double, val epsC: Double, val epsD: Double) {
+  import TpiIndex.Period
   private val seed = 29L // partitioning seed of the first PI; later builds add the step count
-
-  final case class Period(start: Int, var end: Int, pi: PiIndex)
 
   val periods = mutable.ArrayBuffer.empty[Period]
   var insertions = 0
@@ -86,4 +85,9 @@ final class TpiIndex(val epsS: Double, val gc: Double, val epsC: Double, val eps
   def numPeriods: Int = periods.length
   def sizeBits: Long = periods.iterator.map(_.pi.sizeBits).sum + periods.length.toLong * 2 * 32
   def sizeMB: Double = sizeBits / 8.0 / 1e6
+}
+
+object TpiIndex {
+  /** The PI that serves timestamps start to end. */
+  final case class Period(start: Int, var end: Int, pi: PiIndex)
 }

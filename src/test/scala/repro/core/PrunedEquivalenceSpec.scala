@@ -3,11 +3,13 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
 
-/** The pruned k-means sweep and the array-backed incremental partitioner
-  * must reproduce the full-scan reference implementations bit for bit, on
-  * inputs built to provoke ties: duplicates, lattice points and
-  * near-identical points, in 1–3 dimensions, with q from 1 to n. */
+/** The pruned k-means sweep, the array-backed incremental partitioner, its
+  * grid merge search and the codebook's primitive cell table must
+  * reproduce the reference implementations bit for bit, on inputs built to
+  * provoke ties: duplicates, lattice points, near-identical points and
+  * points on cell edges, in 1–3 dimensions, with q from 1 to n. */
 class PrunedEquivalenceSpec extends AnyFunSuite {
 
   private def check(p: Prop, tests: Int = 300): Unit = {
@@ -103,5 +105,84 @@ class PrunedEquivalenceSpec extends AnyFunSuite {
 
   test("IncrementalPartitioner.update equals the reference with trajectories leaving and joining") {
     check(Prop.forAllNoShrink(updatesGen(turnover = true)) { case (_, epsP, frames) => sameUpdates(epsP, frames) })
+  }
+
+  /** One centroid coordinate near the merge grid's edges: a multiple of
+    * ε_p or of the grid's side w (one ulp either way too), or a continuous
+    * value, all around `offset`. */
+  private def edgeCoord(epsP: Double, offset: Double): Gen[Double] = {
+    val w = epsP * (1 + 1.0 / 1024)
+    Gen.frequency(
+      3 -> Gen.choose(-4, 4).map(j => offset + j * epsP),
+      3 -> Gen.choose(-4, 4).map(j => offset + j * w),
+      1 -> Gen.choose(-4, 4).map(j => math.nextUp(offset + j * w)),
+      1 -> Gen.choose(-4, 4).map(j => math.nextDown(offset + j * w)),
+      3 -> Gen.choose(-4.0, 4.0).map(u => offset + u * epsP))
+  }
+
+  /** Rebuilt centroids for the merge step. Each is fresh (`edgeCoord`s) or
+    * made from an earlier one: exactly ε_p away along one axis as computed,
+    * one ulp nearer or farther, on a 3-4-5 diagonal at ε_p, or a duplicate.
+    * Offsets reach 10¹⁵ (large coordinates) and 10³⁰, which is beyond the
+    * grid's 2⁴⁰ cells, so the exhaustive search runs too. */
+  private val mergeCase: Gen[(Array[Array[Double]], Double)] = for {
+    dim <- Gen.choose(1, 3)
+    epsP <- Gen.oneOf(0.1, 0.3, 0.5, 1.0, 0.25, 1e-3)
+    offset <- Gen.frequency(6 -> Gen.const(0.0), 2 -> Gen.oneOf(-8.61, 123456.789, -1e6),
+                            1 -> Gen.oneOf(1e15, -3e14), 1 -> Gen.const(1e30))
+    n <- Gen.choose(1, 40)
+    steps <- Gen.listOfN(n, Gen.zip(Gen.choose(0, 7), Gen.choose(0, 1000), Gen.choose(0, 2),
+                                    Gen.listOfN(dim, edgeCoord(epsP, offset))))
+  } yield {
+    val cents = mutable.ArrayBuffer.empty[Array[Double]]
+    for ((variant, anchor, axis, fresh) <- steps) {
+      val c = if (cents.isEmpty || variant == 0) fresh.toArray else cents(anchor % cents.length).clone
+      val ax = axis % dim
+      if (cents.nonEmpty) variant match {
+        case 1 => c(ax) += epsP
+        case 2 => c(ax) -= epsP
+        case 3 => c(ax) = math.nextUp(c(ax) + epsP)
+        case 4 => c(ax) = math.nextDown(c(ax) + epsP)
+        case 5 => c(ax) = math.nextDown(c(ax) - epsP)
+        case 6 if dim >= 2 => c(ax) += 0.6 * epsP; c((ax + 1) % dim) += 0.8 * epsP
+        case _ =>
+      }
+      cents += c
+    }
+    (cents.toArray, epsP)
+  }
+
+  test("the grid merge search picks the partners of the coordinate-0 sweep") {
+    check(Prop.forAllNoShrink(mergeCase) { case (cents, epsP) =>
+      java.util.Arrays.equals(IncrementalPartitioner.mergePartners(cents, cents.length, epsP),
+                              ReferenceMergeSweep.partners(cents, cents.length, epsP))
+    }, tests = 2000)
+  }
+
+  /** Codebook operations: 0 quantize, 1 add, 2 nearestWithin, on points of
+    * an eps/2 lattice (cell edges and equal-distance ties), one ulp off it,
+    * or continuous, around an offset. */
+  private val codebookCase: Gen[(Double, List[(Int, Pt)])] = for {
+    eps <- Gen.oneOf(0.1, 0.5, 1.0, 1e-3)
+    offset <- Gen.oneOf(0.0, 0.0, -8.61, 116.35, 1e6)
+    n <- Gen.choose(1, 120)
+    coord = Gen.frequency(
+      4 -> Gen.choose(-6, 6).map(j => offset + j * eps / 2),
+      1 -> Gen.choose(-6, 6).map(j => math.nextUp(offset + j * eps / 2)),
+      2 -> Gen.choose(-3.0, 3.0).map(u => offset + u * eps))
+    ops <- Gen.listOfN(n, Gen.zip(Gen.frequency(5 -> Gen.const(0), 1 -> Gen.const(1), 2 -> Gen.const(2)),
+                                  Gen.zip(coord, coord).map { case (x, y) => Pt(x, y) }))
+  } yield (eps, ops)
+
+  test("the codebook's cell table answers as the boxed-map codebook") {
+    check(Prop.forAllNoShrink(codebookCase) { case (eps, ops) =>
+      val ref = new ReferenceCodebook(eps)
+      val cb = new ErrorBoundedCodebook(eps)
+      ops.forall {
+        case (0, p) => ref.quantize(p) == cb.quantize(p)
+        case (1, p) => ref.add(p) == cb.add(p)
+        case (_, p) => ref.nearestWithin(p) == cb.nearestWithin(p)
+      } && ref.codewords == cb.codewords
+    }, tests = 1000)
   }
 }

@@ -4,9 +4,11 @@ import scala.collection.mutable
 
 // Reference implementations: the full-scan Lloyd loop, the round-capped
 // threshold partitioner and the map-based incremental partitioner, kept
-// verbatim as they were before the pruned versions replaced them. The
-// equivalence properties compare the main-source versions against these
-// bit for bit.
+// verbatim as they were before the pruned versions replaced them; then the
+// coordinate-0 sweep of the merge step and the boxed-map codebook, kept
+// verbatim as they were before the grid merge search and the primitive
+// cell table replaced them. The equivalence properties compare the
+// main-source versions against these bit for bit.
 
 object ReferenceKMeans {
 
@@ -218,5 +220,106 @@ final class ReferenceIncrementalPartitioner(epsP: Double, growth: Int = 4, seed:
     // Drop centroids with no current members so they don't attract strays.
     centroidOf = centroidOf.filter { case (p, _) => rebuilt.contains(p) }
     out
+  }
+}
+
+/** The merge step of `IncrementalPartitioner.update` as a sweep through
+  * the coordinate-0 order of the rebuilt centroids, verbatim but for the
+  * merge counter: returns each partition's partner, or -1. */
+object ReferenceMergeSweep {
+  import KMeans.dist
+
+  def partners(rcent: Array[Array[Double]], m: Int, epsP: Double): Array[Int] = {
+    val byX = Array.range(0, m).sortBy(r => rcent(r)(0))(Ordering.Double.TotalOrdering)
+    val posX = new Array[Int](m)
+    var p = 0
+    while (p < m) { posX(byX(p)) = p; p += 1 }
+    val next = Array.range(1, m + 1) // linked list over positions; m and -1 end it
+    val prev = Array.range(-1, m - 1)
+    def unlink(p: Int): Unit = {
+      if (prev(p) >= 0) next(prev(p)) = next(p)
+      if (next(p) < m) prev(next(p)) = prev(p)
+    }
+    def beyond(ca: Array[Double], cb: Array[Double]): Boolean = { val d = ca(0) - cb(0); math.sqrt(d * d) > epsP }
+    val into = Array.range(0, m) // the partition each one ends in
+    val partner = Array.fill(m)(-1)
+    var a = 0
+    while (a < m) {
+      if (into(a) == a) { // not merged into an earlier partition
+        val ca = rcent(a)
+        unlink(posX(a)) // its own links still lead to its neighbours
+        var b = m
+        p = next(posX(a))
+        while (p < m && !beyond(ca, rcent(byX(p)))) {
+          if (byX(p) < b && dist(ca, rcent(byX(p))) <= epsP) b = byX(p)
+          p = next(p)
+        }
+        p = prev(posX(a))
+        while (p >= 0 && !beyond(ca, rcent(byX(p)))) {
+          if (byX(p) < b && dist(ca, rcent(byX(p))) <= epsP) b = byX(p)
+          p = prev(p)
+        }
+        if (b < m) {
+          unlink(posX(b))
+          into(b) = a; partner(a) = b
+        }
+      }
+      a += 1
+    }
+    partner
+  }
+}
+
+final class ReferenceCodebook(val eps: Double) {
+  require(eps > 0, "eps must be positive")
+  private val words = mutable.ArrayBuffer.empty[Pt]
+  private val grid = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Int]]
+
+  private def key(cx: Long, cy: Long): Long = (cx << 32) ^ (cy & 0xffffffffL)
+  private def cellX(p: Pt): Long = math.floor(p.x / eps).toLong
+  private def cellY(p: Pt): Long = math.floor(p.y / eps).toLong
+
+  def size: Int = words.length
+  def apply(i: Int): Pt = words(i)
+  def codewords: IndexedSeq[Pt] = words.toIndexedSeq
+
+  /** Index of the nearest codeword within eps, or -1 if none qualifies.
+    * A ball of radius eps around p only reaches the 3×3 cell neighbourhood. */
+  def nearestWithin(p: Pt): Int = {
+    val cx = cellX(p); val cy = cellY(p)
+    var best = -1
+    var bestD = eps
+    var dx = -1L
+    while (dx <= 1) {
+      var dy = -1L
+      while (dy <= 1) {
+        grid.get(key(cx + dx, cy + dy)) match {
+          case Some(ids) =>
+            var i = 0
+            while (i < ids.length) {
+              val d = words(ids(i)).dist(p)
+              if (d <= bestD) { bestD = d; best = ids(i) }
+              i += 1
+            }
+          case None =>
+        }
+        dy += 1
+      }
+      dx += 1
+    }
+    best
+  }
+
+  /** Assign p to a codeword within eps, creating one at p if needed. */
+  def quantize(p: Pt): Int = {
+    val i = nearestWithin(p)
+    if (i >= 0) i else add(p)
+  }
+
+  def add(p: Pt): Int = {
+    val i = words.length
+    words += p
+    grid.getOrElseUpdate(key(cellX(p), cellY(p)), mutable.ArrayBuffer.empty) += i
+    i
   }
 }
