@@ -107,20 +107,12 @@ final class ReconHistory(params: PpqParams) {
     if (s < 0 || window.length(s) < params.k) -1 else window.start(s) + params.k - 1
   }
 
-  /** Last k reconstructed points of `id`, most recent first ([t-1, t-2, ...]),
-    * or empty while fewer than k are known. */
-  def of(id: Int): Array[Pt] = {
+  /** P_j[t] applied to the last k reconstructed points of `id`, or 0
+    * while fewer than k are known (t ≤ k in Alg. 1). */
+  def predict(coeffs: Array[Double], id: Int): Pt = {
     val last = newest(id)
-    if (last < 0) return Array.empty
-    Array.tabulate(params.k)(j => Pt(window.xs(last - j), window.ys(last - j)))
+    if (last < 0) Pt(0.0, 0.0) else Predictor.predict(coeffs, window.xs, window.ys, last)
   }
-
-  /** Whether `h` (from `of`) holds k points. */
-  def ready(h: Array[Pt]): Boolean = h.length == params.k
-
-  /** P_j[t] applied to `h`, or 0 when `h` is not ready (t ≤ k in Alg. 1). */
-  def predict(coeffs: Array[Double], h: Array[Pt]): Pt =
-    if (ready(h)) Predictor.predict(coeffs, h) else Pt(0.0, 0.0)
 
   def add(id: Int, recon: Pt): Unit = window.add(id, recon)
 }
@@ -182,7 +174,7 @@ final class PredictiveFrontend(val params: PpqParams) {
       j = from
       while (j < until) {
         i = byPart(j).toInt
-        preds(i) = if (last(i) >= 0) Predictor.predict(c, hx, hy, last(i)) else Pt(0.0, 0.0)
+        preds(i) = history.predict(c, points(i)._1)
         j += 1
       }
       from = until
@@ -324,7 +316,7 @@ object PpqDecoder {
     val history = new ReconHistory(params)
     val out = mutable.HashMap.empty[(Int, Int), Pt]
     for (s <- steps.sortBy(_.t); cp <- byT.getOrElse(s.t, Seq.empty)) {
-      val recon = history.predict(s.coeffs(cp.part), history.of(cp.trajId)) + codewords(cp.b)
+      val recon = history.predict(s.coeffs(cp.part), cp.trajId) + codewords(cp.b)
       val refined = qt match {
         case Some(q) => Cqc.refine(recon, CqcCode(cp.cqcBits, cp.cqcLen), params.eps1, params.gs.get, q)
         case None => recon

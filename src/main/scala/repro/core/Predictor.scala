@@ -97,11 +97,10 @@ object Predictor {
     eq.solve()
   }
 
+  /** Σ_j P(j)·hist(j), hist most recent first. */
   def predict(coeffs: Array[Double], hist: Array[Pt]): Pt = {
-    var px = 0.0; var py = 0.0
-    var j = 0
-    while (j < coeffs.length) { px += coeffs(j) * hist(j).x; py += coeffs(j) * hist(j).y; j += 1 }
-    Pt(px, py)
+    val k = coeffs.length
+    predict(coeffs, Array.tabulate(k)(j => hist(k - 1 - j).x), Array.tabulate(k)(j => hist(k - 1 - j).y), k - 1)
   }
 
   /** `predict` over the history (xs(last - j), ys(last - j)), j < k. */
