@@ -109,10 +109,11 @@ final class ReconHistory(params: PpqParams) {
 
   /** P_j[t] applied to the last k reconstructed points of `id`, or 0
     * while fewer than k are known (t ≤ k in Alg. 1). */
-  def predict(coeffs: Array[Double], id: Int): Pt = {
-    val last = newest(id)
+  def predict(coeffs: Array[Double], id: Int): Pt = predictFrom(coeffs, newest(id))
+
+  /** `predict` for the trajectory whose `newest` index is `last`. */
+  private[core] def predictFrom(coeffs: Array[Double], last: Int): Pt =
     if (last < 0) Pt(0.0, 0.0) else Predictor.predict(coeffs, window.xs, window.ys, last)
-  }
 
   def add(id: Int, recon: Pt): Unit = window.add(id, recon)
 }
@@ -174,7 +175,7 @@ final class PredictiveFrontend(val params: PpqParams) {
       j = from
       while (j < until) {
         i = byPart(j).toInt
-        preds(i) = history.predict(c, points(i)._1)
+        preds(i) = history.predictFrom(c, last(i))
         j += 1
       }
       from = until
@@ -188,9 +189,9 @@ final class PredictiveFrontend(val params: PpqParams) {
   def commit(points: Array[(Int, Pt)], recons: Array[Pt]): Unit = {
     var i = 0
     while (i < points.length) {
-      val (id, rp) = points(i)
+      val id = points(i)._1
       history.add(id, recons(i))
-      if (keepRaw) raw.add(id, rp)
+      if (keepRaw) raw.add(id, points(i)._2)
       i += 1
     }
   }
@@ -246,13 +247,13 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
     }
     lastT = Some(t)
     val plan = frontend.plan(t, points)
-    val (bs, word) = quantize(t, Array.tabulate(n)(i => points(i)._2 - plan.preds(i)))
+    val (bs, words) = quantize(t, Array.tabulate(n)(i => points(i)._2 - plan.preds(i)))
     val out = new Array[CodedPoint](n)
     val recons = new Array[Pt](n)
     i = 0
     while (i < n) {
-      val (id, rp) = points(i)
-      val recon = plan.preds(i) + word(bs(i))
+      val id = points(i)._1; val rp = points(i)._2
+      val recon = plan.preds(i) + words(i)
       out(i) = quadtree match {
         case Some(qt) =>
           val g = params.gs.get
@@ -274,17 +275,18 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
     out
   }
 
-  /** Codeword index b of each prediction error, and the codewords b indexes. */
-  private def quantize(t: Int, errors: Array[Pt]): (Array[Int], Int => Pt) = policy match {
+  /** Codeword index b of each prediction error, and the codeword it indexes. */
+  private def quantize(t: Int, errors: Array[Pt]): (Array[Int], Array[Pt]) = policy match {
     case CodebookPolicy.KMeansPerStep(v) =>
       val (words, assign) = KMeans.clusterPts(errors, v, iters = 10, seed = params.seed + t)
-      (assign, words(_))
+      (assign, assign.map(words))
     case _ =>
       if (policy == CodebookPolicy.PerStep) cb = new ErrorBoundedCodebook(params.eps1)
       val bs = new Array[Int](errors.length)
+      val words = new Array[Pt](errors.length)
       var i = 0
-      while (i < errors.length) { bs(i) = cb.quantize(errors(i)); i += 1 }
-      (bs, cb(_))
+      while (i < errors.length) { bs(i) = cb.quantize(errors(i)); words(i) = cb(bs(i)); i += 1 }
+      (bs, words)
   }
 
   /** Size of the summary ({P_j[t]}, C, {b_i^t}, CQC, assignments) in bits —
