@@ -134,14 +134,14 @@ final class PredictiveFrontend(val params: PpqParams) {
   def plan(t: Int, points: Array[(Int, Pt)]): Plan = {
     val n = points.length
     val k = params.k
+    val ids = Array.tabulate(n)(i => points(i)._1)
     val assign: Array[Int] = params.mode match {
       case PartitionMode.Single => new Array[Int](n)
       case PartitionMode.Spatial =>
-        partitioner.update(Array.tabulate(n)(i => points(i)._1),
-                           Array.tabulate(n) { i => val p = points(i)._2; Array(p.x, p.y) })
+        partitioner.update(ids, Array.tabulate(n) { i => val p = points(i)._2; Array(p.x, p.y) })
       case PartitionMode.Autocorr =>
-        partitioner.update(Array.tabulate(n)(i => points(i)._1), Array.tabulate(n) { i =>
-          val s = raw.slotOf(points(i)._1)
+        partitioner.update(ids, Array.tabulate(n) { i =>
+          val s = raw.slotOf(ids(i))
           if (s < 0) new Array[Double](k)
           else Predictor.arFeatures(raw.xs, raw.ys, raw.start(s), raw.length(s), k, ArWindow)
         })
@@ -154,7 +154,7 @@ final class PredictiveFrontend(val params: PpqParams) {
     java.util.Arrays.sort(byPart)
     val last = new Array[Int](n) // each point's `history.newest`
     i = 0
-    while (i < n) { last(i) = history.newest(points(i)._1); i += 1 }
+    while (i < n) { last(i) = history.newest(ids(i)); i += 1 }
     val hx = history.window.xs; val hy = history.window.ys
     val coeffs = Map.newBuilder[Int, Array[Double]]
     val preds = new Array[Pt](n)

