@@ -6,7 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{TrajDataset, TrajGen}
 import repro.baselines.{TrajStoreIndex, TrajStoreQuant}
 import repro.eval.{EvalConfig, MethodRun, PerTimestep, Table2, Table3, Table4, Table9}
-import repro.index.Pi
+import repro.index.{Pi, TpiIndex}
 
 /** Pins the encoder's exact output for fixed seeds. Any change to
   * partitioning, prediction, quantization or CQC that alters a single bit
@@ -132,6 +132,31 @@ class GoldenHashSpec extends AnyFunSuite {
     f.hex
   }
 
+  /** TPI over a stream at §6.5's ε_c = 0.5 and ε_d = 0.8: each period's
+    * span, region rectangles and base densities, ids posted per region and
+    * size; the counters and the total size; then `query` and
+    * `queryWithNeighbors` for every point at its own t. */
+  private def tpiHash(data: TrajDataset, cfg: EvalConfig): String = {
+    val tpi = new TpiIndex(cfg.epsS, cfg.gcDeg, epsC = 0.5, epsD = 0.8)
+    for (t <- 1 to data.len) tpi.step(t, data.pointsAt(t))
+    val f = new Fingerprint
+    for (period <- tpi.periods) {
+      val pi = period.pi
+      f.long(period.start); f.long(period.end)
+      for ((region, density) <- pi.regions.zip(pi.baseDensity)) {
+        val r = region.rect
+        f.double(r.x0); f.double(r.y0); f.double(r.x1); f.double(r.y1); f.double(density)
+      }
+      pi.postedByRegion.foreach(c => f.long(c))
+      f.long(pi.sizeBits)
+    }
+    f.long(tpi.rebuilds); f.long(tpi.insertions); f.long(tpi.sizeBits)
+    for (t <- 1 to data.len; (_, p) <- data.pointsAt(t); ids <- Seq(tpi.query(p, t), tpi.queryWithNeighbors(p, t))) {
+      f.long(ids.length); ids.foreach(id => f.long(id))
+    }
+    f.hex
+  }
+
   private def portoSmall = TrajGen.portoLike(200, 20, 11)
   private def geolifeSmall = TrajGen.geolifeLike(100, 30, 44)
 
@@ -192,6 +217,9 @@ class GoldenHashSpec extends AnyFunSuite {
         f.hex
       },
       "544de808b1ec1bcf"),
+    // The benchmark's GeoLife-like stream through TPI: 23 periods, 22
+    // re-builds and 237 insertions.
+    ("TpiIndex geolife 1200x260 seed 43", () => tpiHash(TrajGen.geolifeLike(1200, 260, 43), geolife), "58645cede0ed9ee0"),
     ("runPpqBounded PPQ-A porto 200x20 seed 11", bounded("PPQ-A", portoSmall, porto), "2641d89ae06d08df"),
     ("runPpqBounded PPQ-A-basic porto 200x20 seed 11", bounded("PPQ-A-basic", portoSmall, porto), "fd77da644e1aaa9d"),
     ("runPpqBounded PPQ-S porto 200x20 seed 11", bounded("PPQ-S", portoSmall, porto), "81b0eda2e282e378"),
