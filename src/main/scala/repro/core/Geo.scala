@@ -65,6 +65,8 @@ object Rect {
       out.result()
   }
 
+  /** r minus each of bs in turn. Every piece lies inside r, so a b that
+    * misses r leaves the pieces as they are and is skipped. */
   def subtractAll(r: Rect, bs: Iterable[Rect]): Seq[Rect] =
-    bs.foldLeft(Seq(r))((acc, b) => acc.flatMap(subtract(_, b)))
+    bs.filter(_.intersects(r)).foldLeft(Seq(r))((acc, b) => acc.flatMap(subtract(_, b)))
 }

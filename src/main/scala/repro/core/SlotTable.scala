@@ -6,7 +6,7 @@ package repro.core
   * at most half full; the hash multiplies by 2⁶⁴/φ and keeps the high bits,
   * so keys that differ only in their low or only in their high 32 bits
   * (grid cells, small ids) spread over the table. */
-private[core] final class SlotTable {
+private[repro] final class SlotTable {
   private var bits = 4
   private var keys = new Array[Long](1 << bits)
   private var slots = new Array[Int](1 << bits) // slot + 1; 0 marks a free entry
@@ -55,7 +55,7 @@ private[core] final class SlotTable {
   }
 }
 
-private[core] object SlotTable {
+private[repro] object SlotTable {
   /** The key of grid cell (cx, cy): cx in the high and cy in the low 32 bits. */
   def cellKey(cx: Long, cy: Long): Long = (cx << 32) ^ (cy & 0xffffffffL)
 }

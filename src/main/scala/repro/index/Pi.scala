@@ -5,25 +5,42 @@ import scala.collection.mutable
 
 /** One non-overlapping sub-region R_n of Alg. 3, gridded at g_c. */
 final case class GridRegion(rect: Rect, gc: Double) {
-  val cellsX: Int = math.max(1, math.ceil(rect.width / gc - 1e-12).toInt)
-  val cellsY: Int = math.max(1, math.ceil(rect.height / gc - 1e-12).toInt)
+  private val nx = math.max(1.0, math.ceil(rect.width / gc - 1e-12))
+  private val ny = math.max(1.0, math.ceil(rect.height / gc - 1e-12))
+  require(gc > 0 && nx * ny <= Int.MaxValue, s"g_c = $gc over $rect gives ${nx * ny} cells; at most ${Int.MaxValue} fit")
+  val cellsX: Int = nx.toInt
+  val cellsY: Int = ny.toInt
   def numCells: Int = cellsX * cellsY
-  def cellOf(p: Pt): (Int, Int) = (
-    math.min(cellsX - 1, math.max(0, math.floor((p.x - rect.x0) / gc).toInt)),
-    math.min(cellsY - 1, math.max(0, math.floor((p.y - rect.y0) / gc).toInt)))
+  def cellX(p: Pt): Int = math.min(cellsX - 1, math.max(0, math.floor((p.x - rect.x0) / gc).toInt))
+  def cellY(p: Pt): Int = math.min(cellsY - 1, math.max(0, math.floor((p.y - rect.y0) / gc).toInt))
+  def cellOf(p: Pt): (Int, Int) = (cellX(p), cellY(p))
 }
 
 /** Partition-based index at one (or, under TPI reuse, several) timestamps:
   * non-overlapping rectangles from ε_s partitions, each with a g_c grid
   * whose cells hold per-timestamp sorted trajectory-id postings
-  * (delta + Huffman compressed for the size accounting). */
+  * (delta + Huffman compressed for the size accounting).
+  *
+  * Cells are numbered across the index: region r's cell (cx, cy) is
+  * `cellBase(r) + cx·cellsY + cy`. A posting is the slot of its
+  * (t, cell) key in a `SlotTable`; per slot the index keeps the sorted ids
+  * and the region. */
 final class PiIndex(val gc: Double) {
   val regions = mutable.ArrayBuffer.empty[GridRegion]
   /** TRD baseline densities d(R, t_s) captured when each region was created. */
   val baseDensity = mutable.ArrayBuffer.empty[Double]
-  private val postings = mutable.HashMap.empty[(Int, Int, Int, Int), Array[Int]] // (region,cx,cy,t) -> ids
+  private var cellBase = new Array[Long](16)
+  private var numCells = 0L
+  private val slots = new SlotTable
+  private var postings = new Array[Array[Int]](16)
+  private var postingRegion = new Array[Int](16)
 
   def numRegions: Int = regions.length
+
+  /** t in the high 32 bits, the cell in the low 32: injective while the
+    * cells number fewer than 2³² (`addRegion`). */
+  private def key(t: Int, r: Int, cx: Int, cy: Int): Long =
+    (t.toLong << 32) | (cellBase(r) + cx.toLong * regions(r).cellsY + cy)
 
   /** Index of the region containing p, or -1 (regions are disjoint). */
   def regionOf(p: Pt): Int = {
@@ -33,7 +50,12 @@ final class PiIndex(val gc: Double) {
   }
 
   /** Region index per point (-1 = uncovered). */
-  def classify(pts: Array[(Int, Pt)]): Array[Int] = pts.map { case (_, p) => regionOf(p) }
+  def classify(pts: Array[(Int, Pt)]): Array[Int] = {
+    val cls = new Array[Int](pts.length)
+    var i = 0
+    while (i < pts.length) { cls(i) = regionOf(pts(i)._2); i += 1 }
+    cls
+  }
 
   /** Per-region point counts given a classification. */
   def countsByRegion(cls: Array[Int]): Array[Int] = {
@@ -42,65 +64,107 @@ final class PiIndex(val gc: Double) {
     c
   }
 
-  /** Insert covered points' ids into their (region, cell, t) postings. */
+  /** Insert covered points' ids into their (t, cell) postings. A cell's
+    * first insert keeps its ids sorted, duplicates included; a later insert
+    * at the same t leaves the sorted distinct union of old and new ids. */
   def insert(t: Int, pts: Array[(Int, Pt)], cls: Array[Int]): Unit = {
-    val grouped = mutable.HashMap.empty[(Int, Int, Int, Int), mutable.ArrayBuffer[Int]]
+    // (slot, id) with the slot in the high 32 bits and the id, sign bit
+    // flipped, in the low 32: one sort orders by slot, then by signed id.
+    val pairs = new Array[Long](pts.length)
+    var n = 0
     var i = 0
     while (i < pts.length) {
       val r = cls(i)
       if (r >= 0) {
-        val (cx, cy) = regions(r).cellOf(pts(i)._2)
-        grouped.getOrElseUpdate((r, cx, cy, t), mutable.ArrayBuffer.empty) += pts(i)._1
+        val p = pts(i)._2
+        val s = slots.slotOrAdd(key(t, r, regions(r).cellX(p), regions(r).cellY(p)))
+        if (s == postings.length) {
+          postings = java.util.Arrays.copyOf(postings, 2 * s)
+          postingRegion = java.util.Arrays.copyOf(postingRegion, 2 * s)
+        }
+        postingRegion(s) = r
+        pairs(n) = (s.toLong << 32) | ((pts(i)._1 ^ Int.MinValue) & 0xffffffffL)
+        n += 1
       }
       i += 1
     }
-    for ((k, ids) <- grouped) {
-      val sorted = ids.toArray.sorted
-      postings(k) = postings.get(k).map(old => (old ++ sorted).distinct.sorted).getOrElse(sorted)
+    java.util.Arrays.sort(pairs, 0, n)
+    var a = 0
+    while (a < n) {
+      val s = (pairs(a) >>> 32).toInt
+      var b = a + 1
+      while (b < n && (pairs(b) >>> 32).toInt == s) b += 1
+      val ids = new Array[Int](b - a)
+      var j = 0
+      while (j < ids.length) { ids(j) = pairs(a + j).toInt ^ Int.MinValue; j += 1 }
+      postings(s) = if (postings(s) == null) ids else PiIndex.union(postings(s), ids)
+      a = b
     }
   }
 
   def addRegion(r: GridRegion, density: Double): Int = {
+    require(numCells + r.numCells <= (1L << 32), s"a PI holds at most 2^32 cells; $r would pass that")
+    if (regions.length == cellBase.length) cellBase = java.util.Arrays.copyOf(cellBase, 2 * regions.length)
+    cellBase(regions.length) = numCells
+    numCells += r.numCells
     regions += r
     baseDensity += density
     regions.length - 1
   }
 
+  private def posting(t: Int, r: Int, cx: Int, cy: Int): Array[Int] = {
+    val s = slots.slot(key(t, r, cx, cy))
+    if (s < 0) Array.emptyIntArray else postings(s)
+  }
+
   /** Trajectory ids indexed at the cell of p at time t (Def. 5.2 lookup). */
   def query(p: Pt, t: Int): Array[Int] = {
     val r = regionOf(p)
-    if (r < 0) return Array.empty
-    val (cx, cy) = regions(r).cellOf(p)
-    postings.getOrElse((r, cx, cy, t), Array.empty)
+    if (r < 0) Array.emptyIntArray else posting(t, r, regions(r).cellX(p), regions(r).cellY(p))
   }
 
   /** Ids in the cell of p and its 8 neighbours at t (local-search support). */
   def queryWithNeighbors(p: Pt, t: Int): Array[Int] = {
     val r = regionOf(p)
-    if (r < 0) return Array.empty
-    val (cx, cy) = regions(r).cellOf(p)
-    val out = mutable.ArrayBuffer.empty[Int]
-    var dx = -1
-    while (dx <= 1) {
-      var dy = -1
-      while (dy <= 1) {
-        postings.get((r, cx + dx, cy + dy, t)).foreach(out ++= _)
-        dy += 1
+    if (r < 0) return Array.emptyIntArray
+    val g = regions(r)
+    val cx = g.cellX(p); val cy = g.cellY(p)
+    val out = mutable.ArrayBuilder.make[Int]
+    var x = cx - 1
+    while (x <= cx + 1) {
+      var y = cy - 1
+      while (y <= cy + 1) {
+        if (x >= 0 && x < g.cellsX && y >= 0 && y < g.cellsY) out ++= posting(t, r, x, y)
+        y += 1
       }
-      dx += 1
+      x += 1
     }
-    out.distinct.toArray
+    out.result().distinct
   }
 
   /** Ids posted in each region, over all its cells and timestamps. */
   def postedByRegion: Array[Int] = {
     val c = new Array[Int](regions.length)
-    for (((r, _, _, _), ids) <- postings) c(r) += ids.length
+    var s = 0
+    while (s < slots.size) { c(postingRegion(s)) += postings(s).length; s += 1 }
     c
   }
 
   /** Compressed size of the postings and the region rectangles. */
-  def sizeBits: Long = IdCodec.indexBits(postings.values, regions.length)
+  def sizeBits: Long = IdCodec.indexBits(postings.view.take(slots.size), regions.length)
+}
+
+object PiIndex {
+  /** The sorted distinct union of two sorted id lists. */
+  private def union(a: Array[Int], b: Array[Int]): Array[Int] = {
+    val out = new Array[Int](a.length + b.length)
+    var i = 0; var j = 0; var n = 0
+    while (i < a.length || j < b.length) {
+      val v = if (j == b.length || (i < a.length && a(i) <= b(j))) { i += 1; a(i - 1) } else { j += 1; b(j - 1) }
+      if (n == 0 || out(n - 1) != v) { out(n) = v; n += 1 }
+    }
+    java.util.Arrays.copyOf(out, n)
+  }
 }
 
 /** Algorithm 3: build a PI over the points of one timestamp. */
@@ -109,29 +173,41 @@ object Pi {
   /** Partition pts with threshold ε_s (Eq. 7 with ε_s), take each subset's
     * minimum bounding rectangle, and resolve overlaps by rectangle
     * subtraction (remove_overlap, [17]). */
-  def buildRegions(pts: Array[(Int, Pt)], epsS: Double, gc: Double, seed: Long): Seq[(GridRegion, Double)] = {
-    if (pts.isEmpty) return Seq.empty
+  private def disjointRects(pts: Array[(Int, Pt)], epsS: Double, seed: Long): mutable.ArrayBuffer[Rect] = {
+    val kept = mutable.ArrayBuffer.empty[Rect]
+    if (pts.isEmpty) return kept
     val vecs = pts.map { case (_, p) => Array(p.x, p.y) }
     val res = Partitioner.partitionByThreshold(vecs, epsS, seed = seed)
     val byPart = pts.indices.groupBy(res.assign(_))
-    val kept = mutable.ArrayBuffer.empty[Rect]
-    for ((_, idxs) <- byPart.toSeq.sortBy(_._1)) {
-      val bound = Rect.bounding(idxs.map(i => pts(i)._2))
-      val pieces = Rect.subtractAll(bound, kept.toSeq)
-      kept ++= pieces
-    }
-    // Densities: count points per final rect (a rect's creation-time TRD).
-    kept.toSeq.map { r =>
-      val region = GridRegion(r, gc)
-      val cnt = pts.count { case (_, p) => r.contains(p) }
-      (region, cnt.toDouble / region.numCells)
-    }
+    for ((_, idxs) <- byPart.toSeq.sortBy(_._1))
+      kept ++= Rect.subtractAll(Rect.bounding(idxs.map(i => pts(i)._2)), kept)
+    kept
+  }
+
+  /** Adds `rects` to pi as regions and indexes pts at t. A new region's
+    * TRD baseline is its points (at least `minCount`) per cell, counted
+    * from the classification the insert uses: regions are disjoint, so
+    * that counts the points each one contains. */
+  private def index(pi: PiIndex, t: Int, pts: Array[(Int, Pt)], rects: Iterable[Rect], minCount: Double): Unit = {
+    val first = pi.numRegions
+    rects.foreach(r => pi.addRegion(GridRegion(r, pi.gc), 0.0))
+    val cls = pi.classify(pts)
+    val counts = pi.countsByRegion(cls)
+    for (i <- first until pi.numRegions)
+      pi.baseDensity(i) = math.max(counts(i).toDouble, minCount) / pi.regions(i).numCells
+    pi.insert(t, pts, cls)
+  }
+
+  /** The regions and TRD baselines (a region's creation-time points per
+    * cell) of `build`'s index over pts. */
+  def buildRegions(pts: Array[(Int, Pt)], epsS: Double, gc: Double, seed: Long): Seq[(GridRegion, Double)] = {
+    val pi = build(0, pts, epsS, gc, seed)
+    pi.regions.toSeq.zip(pi.baseDensity)
   }
 
   def build(t: Int, pts: Array[(Int, Pt)], epsS: Double, gc: Double, seed: Long = 23): PiIndex = {
     val pi = new PiIndex(gc)
-    for ((region, d) <- buildRegions(pts, epsS, gc, seed)) pi.addRegion(region, d)
-    pi.insert(t, pts, pi.classify(pts))
+    index(pi, t, pts, disjointRects(pts, epsS, seed), minCount = 0.0)
     pi
   }
 
@@ -140,15 +216,7 @@ object Pi {
     * so coverage stays disjoint, then index those points. */
   def insertUncovered(pi: PiIndex, t: Int, uncovered: Array[(Int, Pt)], epsS: Double, seed: Long = 27): Unit = {
     if (uncovered.isEmpty) return
-    val existing = pi.regions.map(_.rect).toSeq
-    for ((region, _) <- buildRegions(uncovered, epsS, pi.gc, seed)) {
-      val pieces = Rect.subtractAll(region.rect, existing)
-      for (piece <- pieces) {
-        val g = GridRegion(piece, pi.gc)
-        val cnt = uncovered.count { case (_, p) => piece.contains(p) }
-        pi.addRegion(g, math.max(cnt.toDouble, 1.0) / g.numCells)
-      }
-    }
-    pi.insert(t, uncovered, pi.classify(uncovered))
+    val existing = pi.regions.map(_.rect)
+    index(pi, t, uncovered, disjointRects(uncovered, epsS, seed).flatMap(Rect.subtractAll(_, existing)), minCount = 1.0)
   }
 }

@@ -55,7 +55,10 @@ final class TpiIndex(val epsS: Double, val gc: Double, val epsC: Double, val eps
     } else {
       cur.end = t
       cur.pi.insert(t, pts, cls)
-      val uncovered = pts.indices.collect { case i if cls(i) < 0 => pts(i) }.toArray
+      val out = Array.newBuilder[(Int, Pt)]
+      var i = 0
+      while (i < pts.length) { if (cls(i) < 0) out += pts(i); i += 1 }
+      val uncovered = out.result()
       if (uncovered.nonEmpty) {
         // Insertion: index only the uncovered points (Alg. 4 lines 10–11).
         Pi.insertUncovered(cur.pi, t, uncovered, epsS, seed + stepCount)

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.index.{GridRegion, IdCodec}
 import scala.collection.mutable
 
 // Reference implementations: the full-scan Lloyd loop, the round-capped
@@ -7,8 +8,10 @@ import scala.collection.mutable
 // verbatim as they were before the pruned versions replaced them; then the
 // coordinate-0 sweep of the merge step and the boxed-map codebook, kept
 // verbatim as they were before the grid merge search and the primitive
-// cell table replaced them. The equivalence properties compare the
-// main-source versions against these bit for bit.
+// cell table replaced them; then the PI with boxed-tuple posting keys, kept
+// verbatim as it was before the primitive postings replaced it. The
+// equivalence properties compare the main-source versions against these
+// bit for bit.
 
 object ReferenceKMeans {
 
@@ -322,4 +325,90 @@ final class ReferenceCodebook(val eps: Double) {
     grid.getOrElseUpdate(key(cellX(p), cellY(p)), mutable.ArrayBuffer.empty) += i
     i
   }
+}
+
+final class ReferencePiIndex(val gc: Double) {
+  val regions = mutable.ArrayBuffer.empty[GridRegion]
+  /** TRD baseline densities d(R, t_s) captured when each region was created. */
+  val baseDensity = mutable.ArrayBuffer.empty[Double]
+  private val postings = mutable.HashMap.empty[(Int, Int, Int, Int), Array[Int]] // (region,cx,cy,t) -> ids
+
+  def numRegions: Int = regions.length
+
+  /** Index of the region containing p, or -1 (regions are disjoint). */
+  def regionOf(p: Pt): Int = {
+    var i = 0
+    while (i < regions.length) { if (regions(i).rect.contains(p)) return i; i += 1 }
+    -1
+  }
+
+  /** Region index per point (-1 = uncovered). */
+  def classify(pts: Array[(Int, Pt)]): Array[Int] = pts.map { case (_, p) => regionOf(p) }
+
+  /** Per-region point counts given a classification. */
+  def countsByRegion(cls: Array[Int]): Array[Int] = {
+    val c = new Array[Int](regions.length)
+    cls.foreach(r => if (r >= 0) c(r) += 1)
+    c
+  }
+
+  /** Insert covered points' ids into their (region, cell, t) postings. */
+  def insert(t: Int, pts: Array[(Int, Pt)], cls: Array[Int]): Unit = {
+    val grouped = mutable.HashMap.empty[(Int, Int, Int, Int), mutable.ArrayBuffer[Int]]
+    var i = 0
+    while (i < pts.length) {
+      val r = cls(i)
+      if (r >= 0) {
+        val (cx, cy) = regions(r).cellOf(pts(i)._2)
+        grouped.getOrElseUpdate((r, cx, cy, t), mutable.ArrayBuffer.empty) += pts(i)._1
+      }
+      i += 1
+    }
+    for ((k, ids) <- grouped) {
+      val sorted = ids.toArray.sorted
+      postings(k) = postings.get(k).map(old => (old ++ sorted).distinct.sorted).getOrElse(sorted)
+    }
+  }
+
+  def addRegion(r: GridRegion, density: Double): Int = {
+    regions += r
+    baseDensity += density
+    regions.length - 1
+  }
+
+  /** Trajectory ids indexed at the cell of p at time t (Def. 5.2 lookup). */
+  def query(p: Pt, t: Int): Array[Int] = {
+    val r = regionOf(p)
+    if (r < 0) return Array.empty
+    val (cx, cy) = regions(r).cellOf(p)
+    postings.getOrElse((r, cx, cy, t), Array.empty)
+  }
+
+  /** Ids in the cell of p and its 8 neighbours at t (local-search support). */
+  def queryWithNeighbors(p: Pt, t: Int): Array[Int] = {
+    val r = regionOf(p)
+    if (r < 0) return Array.empty
+    val (cx, cy) = regions(r).cellOf(p)
+    val out = mutable.ArrayBuffer.empty[Int]
+    var dx = -1
+    while (dx <= 1) {
+      var dy = -1
+      while (dy <= 1) {
+        postings.get((r, cx + dx, cy + dy, t)).foreach(out ++= _)
+        dy += 1
+      }
+      dx += 1
+    }
+    out.distinct.toArray
+  }
+
+  /** Ids posted in each region, over all its cells and timestamps. */
+  def postedByRegion: Array[Int] = {
+    val c = new Array[Int](regions.length)
+    for (((r, _, _, _), ids) <- postings) c(r) += ids.length
+    c
+  }
+
+  /** Compressed size of the postings and the region rectangles. */
+  def sizeBits: Long = IdCodec.indexBits(postings.values, regions.length)
 }

@@ -20,6 +20,21 @@ class PiSpec extends AnyFunSuite {
     assert(g.cellOf(Pt(0.31, 0.0)) == ((1, 0)))
   }
 
+  test("GridRegion rejects a g_c that gives more cells than an Int counts") {
+    assert(GridRegion(Rect(0, 0, 46340, 46340), 1.0).numCells == 46340 * 46340)
+    for ((rect, gc) <- Seq(Rect(0, 0, 46341, 46341) -> 1.0, Rect(0, 0, 1, 1) -> 1e-9, Rect(0, 0, 1, 1) -> 0.0)) {
+      val e = intercept[IllegalArgumentException](GridRegion(rect, gc))
+      assert(e.getMessage.contains(rect.toString) && e.getMessage.contains(s"g_c = $gc"), e.getMessage)
+    }
+  }
+
+  test("a PI rejects a region that would number more than 2^32 cells") {
+    val pi = new PiIndex(1.0)
+    val big = GridRegion(Rect(0, 0, 46340, 46340), 1.0)
+    pi.addRegion(big, 0.0); pi.addRegion(big, 0.0)
+    intercept[IllegalArgumentException](pi.addRegion(big, 0.0))
+  }
+
   test("regions built by Pi are pairwise disjoint") {
     val p = pts(1)
     val pi = Pi.build(1, p, epsS = 0.5, gc = 0.1)
