@@ -97,7 +97,7 @@ final class PiIndex(val gc: Double) {
       val ids = new Array[Int](b - a)
       var j = 0
       while (j < ids.length) { ids(j) = pairs(a + j).toInt ^ Int.MinValue; j += 1 }
-      postings(s) = if (postings(s) == null) ids else PiIndex.union(postings(s), ids)
+      postings(s) = if (postings(s) == null) ids else (postings(s) ++ ids).distinct.sorted
       a = b
     }
   }
@@ -152,19 +152,6 @@ final class PiIndex(val gc: Double) {
 
   /** Compressed size of the postings and the region rectangles. */
   def sizeBits: Long = IdCodec.indexBits(postings.view.take(slots.size), regions.length)
-}
-
-object PiIndex {
-  /** The sorted distinct union of two sorted id lists. */
-  private def union(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new Array[Int](a.length + b.length)
-    var i = 0; var j = 0; var n = 0
-    while (i < a.length || j < b.length) {
-      val v = if (j == b.length || (i < a.length && a(i) <= b(j))) { i += 1; a(i - 1) } else { j += 1; b(j - 1) }
-      if (n == 0 || out(n - 1) != v) { out(n) = v; n += 1 }
-    }
-    java.util.Arrays.copyOf(out, n)
-  }
 }
 
 /** Algorithm 3: build a PI over the points of one timestamp. */
