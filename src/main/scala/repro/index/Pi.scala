@@ -30,7 +30,7 @@ final class PiIndex(val gc: Double) {
   /** TRD baseline densities d(R, t_s) captured when each region was created. */
   val baseDensity = mutable.ArrayBuffer.empty[Double]
   private var cellBase = new Array[Long](16)
-  private var numCells = 0L
+  private var totalCells = 0L
   private val slots = new SlotTable
   private var postings = new Array[Array[Int]](16)
   private var postingRegion = new Array[Int](16)
@@ -38,7 +38,7 @@ final class PiIndex(val gc: Double) {
   def numRegions: Int = regions.length
 
   /** t in the high 32 bits, the cell in the low 32: injective while the
-    * cells number fewer than 2³² (`addRegion`). */
+    * index has at most 2³² cells (`addRegion`). */
   private def key(t: Int, r: Int, cx: Int, cy: Int): Long =
     (t.toLong << 32) | (cellBase(r) + cx.toLong * regions(r).cellsY + cy)
 
@@ -103,10 +103,10 @@ final class PiIndex(val gc: Double) {
   }
 
   def addRegion(r: GridRegion, density: Double): Int = {
-    require(numCells + r.numCells <= (1L << 32), s"a PI holds at most 2^32 cells; $r would pass that")
+    require(totalCells + r.numCells <= (1L << 32), s"a PI holds at most 2^32 cells; $r would pass that")
     if (regions.length == cellBase.length) cellBase = java.util.Arrays.copyOf(cellBase, 2 * regions.length)
-    cellBase(regions.length) = numCells
-    numCells += r.numCells
+    cellBase(regions.length) = totalCells
+    totalCells += r.numCells
     regions += r
     baseDensity += density
     regions.length - 1
