@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicBoolean
 import scala.collection.mutable
 
 /** Incrementally grown codebook guaranteeing ‖e − C(b)‖₂ ≤ eps for every
@@ -143,7 +144,15 @@ object KMeans {
   }
 
   def cluster(vecs: Array[Array[Double]], k0: Int, iters: Int = 15, seed: Long = 7
-             ): (Array[Array[Double]], Array[Int]) = {
+             ): (Array[Array[Double]], Array[Int]) = cluster(vecs, k0, iters, seed, NeverAbandoned)
+
+  /** Never set: the flag of a call that nobody abandons. */
+  private[core] val NeverAbandoned = new AtomicBoolean
+
+  /** `cluster`, returning early (with a result the caller must discard) once
+    * `abandoned` reads true between Lloyd iterations. */
+  private[core] def cluster(vecs: Array[Array[Double]], k0: Int, iters: Int, seed: Long,
+                            abandoned: AtomicBoolean): (Array[Array[Double]], Array[Int]) = {
     val n = vecs.length
     if (n == 0) return (Array.empty, Array.empty)
     requireFinite(vecs)
@@ -170,7 +179,7 @@ object KMeans {
     var it = 0
     var changed = true
     val far = new Array[Double](n)
-    while (it < iters && changed) {
+    while (it < iters && changed && !abandoned.get) {
       changed = false
       sortByFirst(order, cents)
       var p = 0

@@ -53,6 +53,8 @@ object Huffman {
   sealed trait Node { def weight: Long; def order: Int }
   final case class Leaf(sym: Int, weight: Long, order: Int) extends Node
   final case class Branch(l: Node, r: Node, weight: Long, order: Int) extends Node
+  /** The unused sibling that gives a one-symbol alphabet its 1-bit code. */
+  final case class Pad(order: Int) extends Node { def weight: Long = 0L }
 
   final case class Table(root: Node, codeOf: Map[Int, (Long, Int)]) {
     /** Approximate serialized table cost: 32-bit symbol + 8-bit length each. */
@@ -65,11 +67,9 @@ object Huffman {
     val pq = mutable.PriorityQueue.empty[Node](
       Ordering.by[Node, (Long, Int)](n => (n.weight, n.order)).reverse)
     for ((s, w) <- freq.toSeq.sortBy(_._1)) { pq.enqueue(Leaf(s, math.max(w, 1L), order)); order += 1 }
-    if (pq.size == 1) {
-      // Single-symbol alphabet: give it a 1-bit code via a dummy branch.
+    if (pq.size == 1) { // give the one symbol the 1-bit code 0
       val only = pq.dequeue()
-      val root = Branch(only, Leaf(Int.MinValue, 0, order), only.weight, order + 1)
-      return Table(root, Map(only.asInstanceOf[Leaf].sym -> ((0L, 1))))
+      pq.enqueue(Branch(only, Pad(order), only.weight, order + 1))
     }
     while (pq.size > 1) {
       val a = pq.dequeue(); val b = pq.dequeue()
@@ -78,7 +78,8 @@ object Huffman {
     val root = pq.dequeue()
     val codes = mutable.HashMap.empty[Int, (Long, Int)]
     def walk(n: Node, bits: Long, len: Int): Unit = n match {
-      case Leaf(s, _, _) => if (s != Int.MinValue) codes(s) = (bits, math.max(len, 1))
+      case Leaf(s, _, _) => codes(s) = (bits, len)
+      case Pad(_) =>
       case Branch(l, r, _, _) =>
         walk(l, bits, len + 1)              // left = 0 (bit stays unset at this depth)
         walk(r, bits | (1L << len), len + 1) // right = 1
@@ -97,6 +98,7 @@ object Huffman {
     while (true) {
       n match {
         case Leaf(s, _, _) => return s
+        case Pad(_) => throw new IllegalArgumentException("bits do not spell a Huffman code")
         case Branch(l, rr, _, _) => n = if (r.read(1) == 0L) l else rr
       }
     }

@@ -115,6 +115,17 @@ class PartitionerSpec extends AnyFunSuite {
     }
   }
 
+  test("partitionByThreshold rejects a < 1 and maxRounds < 1") {
+    val vecs = Array(Array(0.0), Array(1.0))
+    for (a <- Seq(0, -4, Int.MinValue))
+      intercept[IllegalArgumentException](Partitioner.partitionByThreshold(vecs, 0.1, a = a))
+    for (m <- Seq(0, -1, Int.MinValue))
+      intercept[IllegalArgumentException](Partitioner.partitionByThreshold(vecs, 0.1, maxRounds = m))
+    // also for empty input, which needs no round
+    intercept[IllegalArgumentException](Partitioner.partitionByThreshold(Array.empty, 0.1, a = 0))
+    intercept[IllegalArgumentException](Partitioner.partitionByThreshold(Array.empty, 0.1, maxRounds = 0))
+  }
+
   // 400 points 0.25 apart need far more than the 1 + 4·63 = 253 partitions
   // the round cap allows at epsP = 0.05.
   private val line = Array.tabulate(400)(i => Array(i * 0.25))
@@ -126,6 +137,14 @@ class PartitionerSpec extends AnyFunSuite {
     assert(Partitioner.maxDeviation(line, capped.assign, capped.centroids) > 0.05)
     val met = Partitioner.partitionByThreshold(line, 30.0)
     assert(!met.capped && Partitioner.maxDeviation(line, met.assign, met.centroids) <= 30.0)
+  }
+
+  test("partitionByThreshold's speculative rounds run on daemon threads") {
+    Partitioner.partitionByThreshold(line, 0.05) // 64 rounds on 400 vectors
+    val pool = Thread.getAllStackTraces.keySet.toArray(Array.empty[Thread])
+      .filter(t => t.isInstanceOf[java.util.concurrent.ForkJoinWorkerThread] && !t.getName.contains("commonPool"))
+    assert(Runtime.getRuntime.availableProcessors == 1 || pool.nonEmpty)
+    assert(pool.forall(_.isDaemon), pool.filterNot(_.isDaemon).map(_.getName).mkString(", "))
   }
 
   test("incremental: a re-partition stopped at the round cap is counted") {

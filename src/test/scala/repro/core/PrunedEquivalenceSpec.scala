@@ -53,6 +53,15 @@ class PrunedEquivalenceSpec extends AnyFunSuite {
     }, tests = 1000)
   }
 
+  private def samePartition(vecs: Array[Array[Double]], epsP: Double, a: Int, maxRounds: Int,
+                            seed: Long = 11): Boolean = {
+    val r0 = ReferencePartitioner.partitionByThreshold(vecs, epsP, a, maxRounds, seed)
+    val r1 = Partitioner.partitionByThreshold(vecs, epsP, a, maxRounds, seed)
+    java.util.Arrays.equals(r0.assign, r1.assign) && bitEqual(r0.centroids, r1.centroids) &&
+      r0.rounds == r1.rounds &&
+      r1.capped == (Partitioner.maxDeviation(vecs, r1.assign, r1.centroids) > epsP)
+  }
+
   test("partitionByThreshold equals the reference bit for bit") {
     val gen = for {
       dim <- Gen.choose(1, 3)
@@ -62,13 +71,78 @@ class PrunedEquivalenceSpec extends AnyFunSuite {
       a <- Gen.choose(1, 5)
       maxRounds <- Gen.choose(1, 12)
     } yield (vecs, epsP, a, maxRounds)
-    check(Prop.forAllNoShrink(gen) { case (vecs, epsP, a, maxRounds) =>
-      val r0 = ReferencePartitioner.partitionByThreshold(vecs, epsP, a, maxRounds)
-      val r1 = Partitioner.partitionByThreshold(vecs, epsP, a, maxRounds)
-      java.util.Arrays.equals(r0.assign, r1.assign) && bitEqual(r0.centroids, r1.centroids) &&
-        r0.rounds == r1.rounds &&
-        r1.capped == (Partitioner.maxDeviation(vecs, r1.assign, r1.centroids) > epsP)
-    })
+    check(Prop.forAllNoShrink(gen) { case (vecs, epsP, a, maxRounds) => samePartition(vecs, epsP, a, maxRounds) })
+  }
+
+  /** Inputs of 256 or more vectors, whose rounds after the fourth run ahead
+    * on the shared pool when there is more than one processor: calls that
+    * stop early (loose ε_p), stop at the round cap (ε_p = 0, or 0.1 on
+    * continuous points), stop when q reaches n (a large step, or duplicates
+    * that reach zero deviation), or run one round (`maxRounds` = 1). The
+    * test checks that each kind past round 4 occurs. */
+  private val largeCase: Gen[(Array[Array[Double]], Double, Int, Int)] = for {
+    dim <- Gen.choose(1, 3)
+    n <- Gen.choose(256, 700)
+    vecs <- vecsGen(dim, n)
+    epsP <- Gen.oneOf(0.0, 0.1, 0.5, 1.0, 2.0)
+    a <- Gen.frequency(4 -> Gen.choose(1, 5), 2 -> Gen.oneOf(64, 150, 255, 400))
+    maxRounds <- Gen.frequency(1 -> Gen.const(1), 6 -> Gen.choose(2, 12),
+                               1 -> (if (a >= 64) Gen.const(64) else Gen.choose(2, 12)))
+  } yield (vecs, epsP, a, maxRounds)
+
+  test("partitionByThreshold equals the reference bit for bit on 256 or more vectors") {
+    val stops = mutable.Set.empty[String]
+    check(Prop.forAllNoShrink(largeCase) { case (vecs, epsP, a, maxRounds) =>
+      val r = Partitioner.partitionByThreshold(vecs, epsP, a, maxRounds)
+      stops += (if (maxRounds == 1) "one round"
+                else if (r.rounds <= 4) "by round 4"
+                else if (math.min(vecs.length.toLong, 1L + a.toLong * (r.rounds - 1)) == vecs.length) "q = n"
+                else if (r.capped) "capped" else "early")
+      samePartition(vecs, epsP, a, maxRounds)
+    }, tests = 100)
+    assert(stops == Set("one round", "by round 4", "q = n", "capped", "early"))
+  }
+
+  test("partitionByThreshold called from several threads at once equals the reference") {
+    val rng = new scala.util.Random(5)
+    def blobs(n: Int, side: Int): Array[Array[Double]] =
+      Array.fill(n)(Array(rng.nextInt(side) + rng.nextGaussian() * 0.05, rng.nextInt(side) + rng.nextGaussian() * 0.05))
+    val (wide, nine) = (blobs(1600, 40), blobs(1600, 3))
+    // capped at 64 rounds, stops early, q reaches n at round 7, one round,
+    // stops at maxRounds = 12
+    val cases = Seq((wide, 0.1, 4, 64), (nine, 0.5, 2, 64), (wide.take(300), 0.0, 50, 64),
+                    (nine.take(500), 0.1, 4, 1), (wide.take(700), 1.0, 2, 12))
+    val expected = cases.map { case (v, e, a, m) => ReferencePartitioner.partitionByThreshold(v, e, a, m, seed = 3) }
+    val rounds = expected.map(_.rounds)
+    assert(rounds(0) == 64 && rounds(1) > 4 && rounds(1) < 64 && rounds(2) == 7 && rounds(3) == 1, rounds)
+    val threads = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val runs = for (t <- 0 until 8; c <- cases.indices) yield (t, (c + t) % cases.length)
+      val futures = runs.map { case (_, c) =>
+        threads.submit(new java.util.concurrent.Callable[Partitioner.Result] {
+          def call(): Partitioner.Result = {
+            val (v, e, a, m) = cases(c)
+            Partitioner.partitionByThreshold(v, e, a, m, seed = 3)
+          }
+        })
+      }
+      for (((_, c), f) <- runs.zip(futures)) {
+        val (r0, r1) = (expected(c), f.get)
+        assert(java.util.Arrays.equals(r0.assign, r1.assign) && bitEqual(r0.centroids, r1.centroids) &&
+                 r0.rounds == r1.rounds, s"case $c")
+      }
+    } finally threads.shutdown()
+  }
+
+  test("partitionByThreshold throws KMeans's IllegalArgumentException for a non-finite vector in a large input") {
+    val rng = new scala.util.Random(6)
+    for (bad <- Seq(Double.NaN, Double.NegativeInfinity)) {
+      val vecs = Array.fill(1000)(Array(rng.nextDouble(), rng.nextDouble()))
+      vecs(700)(1) = bad
+      val want = intercept[IllegalArgumentException](KMeans.cluster(vecs, 1, seed = 11)).getMessage
+      val got = intercept[IllegalArgumentException](Partitioner.partitionByThreshold(vecs, 0.01)).getMessage
+      assert(got == want && want.startsWith("vector 700 "))
+    }
   }
 
   /** Several updates over drifting vectors. `turnover` lets trajectories

@@ -98,6 +98,27 @@ class BitsSpec extends AnyFunSuite {
     assert(e.bitLen < ids.length.toLong * 8, s"bits=${e.bitLen}")
   }
 
+  test("IdCodec round-trips postings whose gap symbols include Int.MinValue") {
+    // -1 then Int.MaxValue: the gap wraps to Int.MinValue
+    val postings = Seq(Array(-1, Int.MaxValue), Array(Int.MinValue, 0, 5), Array(3, 4))
+    val table = IdCodec.buildTable(postings)
+    assert(table.codeOf.contains(Int.MinValue))
+    for (p <- postings) assert(IdCodec.decode(IdCodec.encode(p, table), table).toSeq == p.toSeq)
+    assert(IdCodec.indexBits(postings, rects = 2) > 0)
+  }
+
+  test("Huffman: a one-symbol Int.MinValue alphabet gets a 1-bit code") {
+    val t = Huffman.build(Map(Int.MinValue -> 3L))
+    assert(t.codeOf == Map(Int.MinValue -> ((0L, 1))))
+    val w = new BitWriter
+    (1 to 3).foreach(_ => Huffman.encodeSym(w, t, Int.MinValue))
+    val r = new BitReader(w.toBytes)
+    (1 to 3).foreach(_ => assert(Huffman.decodeSym(r, t) == Int.MinValue))
+    val posting = Array(Int.MinValue)
+    val table = IdCodec.buildTable(Seq(posting))
+    assert(IdCodec.decode(IdCodec.encode(posting, table), table).toSeq == posting.toSeq)
+  }
+
   test("IdCodec on empty posting") {
     val table = IdCodec.buildTable(Seq(Array(1, 2)))
     val e = IdCodec.encode(Array.empty, table)
