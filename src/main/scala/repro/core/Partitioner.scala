@@ -40,10 +40,11 @@ object Partitioner {
     val n = vecs.length
     // The last round that can run: q reaches n at 1 + ceil((n − 1) / a).
     val last = math.min(maxRounds.toLong, 1 + (n - 1 + a.toLong - 1) / a).toInt
-    def round(r: Int, abandoned: AtomicBoolean): Round = {
+    // Round r, or null if it is abandoned before it starts or while it runs.
+    def round(r: Int, abandoned: AtomicBoolean): Round = if (abandoned.get) null else {
       val q = math.min(n.toLong, 1 + a.toLong * (r - 1)).toInt
       val (cents, assign) = KMeans.cluster(vecs, q, 15, if (r == 1) seed else seed + r, abandoned)
-      Round(cents, assign, maxDeviation(vecs, assign, cents))
+      if (abandoned.get) null else Round(cents, assign, maxDeviation(vecs, assign, cents))
     }
     // Rounds 1 to CallerRounds run here: invalid vectors throw on the
     // caller, and a call that stops by then hands nothing off.
@@ -54,7 +55,9 @@ object Partitioner {
     while (more && (alone || r < CallerRounds)) { r += 1; x = round(r, KMeans.NeverAbandoned) }
     if (more) {
       // Keep up to one round per processor in flight and take them in
-      // order; the rounds after the answer are abandoned.
+      // order. Once the answer is known the rest are abandoned: a round
+      // that has not started returns at once, one that has stops at its
+      // next Lloyd iteration. No joined round can be abandoned.
       val abandoned = new AtomicBoolean
       val width = math.min(Runtime.getRuntime.availableProcessors, last - r)
       val inFlight = new Array[ForkJoinTask[Round]](width) // round s at s % width
@@ -71,9 +74,11 @@ object Partitioner {
     Result(x.assign, x.cents, r, capped = x.dev > epsP)
   }
 
-  /** Below this many vectors a call runs its rounds one after another:
-    * calls of under 96 vectors ran slower ahead on the pool, and smaller
-    * calls gained nothing in whole-pass probes (CHANGES.md). */
+  /** Below this many vectors a call runs its rounds one after another.
+    * Calls of under 96 vectors ran slower ahead on the pool. Calls of
+    * 96–255 vectors that pass round 4 occur, among the benchmark's
+    * workloads, only in spark-porto's encoder tasks (two per pass), where
+    * a floor of 96 was no faster than this one (CHANGES.md). */
   private val SpeculativeFloor = 256
 
   /** Rounds that every call runs on the caller. Round r costs about
