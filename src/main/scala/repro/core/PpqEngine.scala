@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
+import scala.collection.{AbstractIterator, immutable, mutable}
 
 /** How trajectory points are grouped for per-partition prediction (§3.2.1). */
 sealed trait PartitionMode extends Serializable
@@ -309,23 +309,161 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
 
 /** Reconstructs every trajectory point from the summary alone — the check
   * that ({P_j[t]}, C, {b_i^t}, CQC) "are enough to reproduce any
-  * trajectory" (§5). Uses only (trajId, t, part, b, cqc) from the codes. */
+  * trajectory" (§5). Uses only (trajId, t, part, b, cqc) from the codes.
+  *
+  * One stable counting sort groups the codes by step, keeping their input
+  * order within a step; the steps are replayed in increasing t through a
+  * `ReconHistory`, and the refined points land in per-trajectory columns
+  * (DESIGN.md §7.5). Codes whose t has no `StepSummary` are dropped. A
+  * code whose partition has no coefficients at its t, whose b is outside
+  * the codebook, or whose (trajId, t) repeats an earlier code, and two
+  * summaries for one t, throw an `IllegalArgumentException`. */
 object PpqDecoder {
   def reconstruct(params: PpqParams, codewords: IndexedSeq[Pt],
                   steps: Seq[StepSummary], codes: Seq[CodedPoint]): Map[(Int, Int), Pt] = {
     val qt = params.gs.map(g => new CoordinateQuadtree(Cqc.sideFor(params.eps1, g)))
-    val byT = codes.groupBy(_.t)
-    val history = new ReconHistory(params)
-    val out = mutable.HashMap.empty[(Int, Int), Pt]
-    for (s <- steps.sortBy(_.t); cp <- byT.getOrElse(s.t, Seq.empty)) {
-      val recon = history.predict(s.coeffs(cp.part), cp.trajId) + codewords(cp.b)
-      val refined = qt match {
-        case Some(q) => Cqc.refine(recon, CqcCode(cp.cqcBits, cp.cqcLen), params.eps1, params.gs.get, q)
-        case None => recon
-      }
-      history.add(cp.trajId, recon)
-      out((cp.trajId, cp.t)) = refined
+    val wx = codewords.iterator.map(_.x).toArray
+    val wy = codewords.iterator.map(_.y).toArray
+    val ss = steps.toArray.sortBy(_.t)
+    val stepTs = ss.map(_.t)
+    var si = 1
+    while (si < ss.length) {
+      require(stepTs(si) != stepTs(si - 1), s"two step summaries for t=${stepTs(si)}")
+      si += 1
     }
-    out.toMap
+    val cs = codes.toArray
+    val n = cs.length
+
+    // Count the codes of each step (bucket(s + 1)) and of each trajectory.
+    val stepOf = new Array[Int](n) // index in `ss`, negative for a code with no step
+    val slotOf = new Array[Int](n)
+    val bucket = new Array[Int](ss.length + 1)
+    val trajs = new SlotTable
+    var ids = new Array[Int](16)
+    var perTraj = new Array[Int](16)
+    var i = 0
+    while (i < n) {
+      val s = java.util.Arrays.binarySearch(stepTs, cs(i).t)
+      stepOf(i) = s
+      if (s >= 0) {
+        bucket(s + 1) += 1
+        val slot = trajs.slotOrAdd(cs(i).trajId.toLong)
+        if (slot == ids.length) {
+          ids = java.util.Arrays.copyOf(ids, 2 * slot); perTraj = java.util.Arrays.copyOf(perTraj, 2 * slot)
+        }
+        ids(slot) = cs(i).trajId
+        perTraj(slot) += 1
+        slotOf(i) = slot
+      }
+      i += 1
+    }
+    si = 0
+    while (si < ss.length) { bucket(si + 1) += bucket(si); si += 1 }
+    val order = new Array[Int](bucket(ss.length)) // code indices, by step, in input order within one
+    val next = java.util.Arrays.copyOf(bucket, ss.length)
+    i = 0
+    while (i < n) {
+      val s = stepOf(i)
+      if (s >= 0) { order(next(s)) = i; next(s) += 1 }
+      i += 1
+    }
+    // Trajectory slot j owns the run starts(j) until starts(j + 1) of the columns.
+    val nTrajs = trajs.size
+    val starts = new Array[Int](nTrajs + 1)
+    var j = 0
+    while (j < nTrajs) { starts(j + 1) = starts(j) + perTraj(j); j += 1 }
+    val cursor = java.util.Arrays.copyOf(starts, nTrajs)
+    val ts = new Array[Int](order.length)
+    val xs = new Array[Double](order.length)
+    val ys = new Array[Double](order.length)
+
+    val history = new ReconHistory(params)
+    val parts = new SlotTable
+    var partCoeffs = new Array[Array[Double]](16)
+    si = 0
+    while (si < ss.length) {
+      val t = stepTs(si)
+      parts.clear()
+      ss(si).coeffs.foreach { case (part, c) =>
+        val slot = parts.slotOrAdd(part.toLong)
+        if (slot == partCoeffs.length) partCoeffs = java.util.Arrays.copyOf(partCoeffs, 2 * slot)
+        partCoeffs(slot) = c
+      }
+      var o = bucket(si)
+      while (o < bucket(si + 1)) {
+        val cp = cs(order(o))
+        val part = parts.slot(cp.part.toLong)
+        if (part < 0)
+          throw new IllegalArgumentException(
+            s"code (${cp.trajId}, $t) names partition ${cp.part}, which has no coefficients at t=$t")
+        if (cp.b < 0 || cp.b >= wx.length)
+          throw new IllegalArgumentException(
+            s"code (${cp.trajId}, $t) names codeword ${cp.b} of a codebook of ${wx.length}")
+        val pred = history.predict(partCoeffs(part), cp.trajId)
+        val recon = Pt(pred.x + wx(cp.b), pred.y + wy(cp.b))
+        val refined = qt match {
+          case Some(q) => Cqc.refine(recon, CqcCode(cp.cqcBits, cp.cqcLen), params.eps1, params.gs.get, q)
+          case None => recon
+        }
+        history.add(cp.trajId, recon)
+        val slot = slotOf(order(o))
+        val at = cursor(slot)
+        if (at > starts(slot) && ts(at - 1) == t)
+          throw new IllegalArgumentException(s"two codes for (${cp.trajId}, $t)")
+        ts(at) = t; xs(at) = refined.x; ys(at) = refined.y
+        cursor(slot) = at + 1
+        o += 1
+      }
+      si += 1
+    }
+    new DecodedPoints(trajs, java.util.Arrays.copyOf(ids, nTrajs), starts, ts, xs, ys)
   }
+}
+
+/** `PpqDecoder.reconstruct`'s result: a read-only map from (trajId, t) to
+  * the refined point over flat columns. Trajectory slot j of `trajs` has id
+  * `ids(j)` and owns the t-sorted run `starts(j) until starts(j + 1)` of
+  * `ts`, `xs` and `ys`. `get` finds the run and binary-searches its t;
+  * `iterator` walks the runs in slot order. `updated` and `removed` copy
+  * the entries into a plain `Map`. */
+final class DecodedPoints private[core] (
+    trajs: SlotTable, ids: Array[Int], starts: Array[Int],
+    ts: Array[Int], xs: Array[Double], ys: Array[Double])
+    extends immutable.AbstractMap[(Int, Int), Pt] {
+
+  /** Column index of (id, t), or -1. */
+  private def indexOf(id: Int, t: Int): Int = {
+    val slot = trajs.slot(id.toLong)
+    if (slot < 0) -1
+    else {
+      val at = java.util.Arrays.binarySearch(ts, starts(slot), starts(slot + 1), t)
+      if (at < 0) -1 else at
+    }
+  }
+
+  def get(key: (Int, Int)): Option[Pt] = {
+    val at = indexOf(key._1, key._2)
+    if (at < 0) None else Some(Pt(xs(at), ys(at)))
+  }
+
+  override def contains(key: (Int, Int)): Boolean = indexOf(key._1, key._2) >= 0
+
+  def iterator: Iterator[((Int, Int), Pt)] = new AbstractIterator[((Int, Int), Pt)] {
+    private var slot = 0
+    private var at = 0
+    def hasNext: Boolean = at < ts.length
+    def next(): ((Int, Int), Pt) = {
+      if (!hasNext) throw new NoSuchElementException("next on an exhausted iterator")
+      while (starts(slot + 1) <= at) slot += 1
+      val e = ((ids(slot), ts(at)), Pt(xs(at), ys(at)))
+      at += 1
+      e
+    }
+  }
+
+  override def size: Int = ts.length
+  override def knownSize: Int = ts.length
+
+  def updated[V1 >: Pt](key: (Int, Int), value: V1): Map[(Int, Int), V1] = Map.from(this).updated(key, value)
+  def removed(key: (Int, Int)): Map[(Int, Int), Pt] = Map.from(this).removed(key)
 }

@@ -43,7 +43,10 @@ object Queries {
     (0 until recon.numTrajs).filter(i => box.contains(recon.point(i, q.t))).toSet
   }
 
-  /** The same over `PpqDecoder.reconstruct`'s map; `ppqbench` is its only caller. */
+  /** The same over a map from (id, t) to the refined point, such as the
+    * view `PpqDecoder.reconstruct` returns; ids outside `data` are never
+    * candidates. `ppqbench` and `PpqPropertySpec`'s exact-STRQ property
+    * call it. */
   def localSearchCandidates(recon: collection.Map[(Int, Int), Pt], data: TrajDataset,
                             q: Strq, gc: Double, radius: Double): Set[Int] = {
     val box = q.box(origin(data), gc, radius)

@@ -55,6 +55,66 @@ class PpqEngineSpec extends AnyFunSuite {
       }
     }
 
+  private def decodeWith(enc: PpqEncoder, steps: Seq[StepSummary], codes: Seq[CodedPoint]) =
+    PpqDecoder.reconstruct(enc.params, enc.codebook.codewords, steps, codes)
+
+  test("decoder drops the codes of a t with no step summary, as the reference does") {
+    val (data, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05))
+    val steps = enc.steps.toSeq.filter(_.t != 10)
+    val decoded = decodeWith(enc, steps, codes)
+    assert(decoded.size == codes.size - data.numTrajs && decoded.keysIterator.forall(_._2 != 10))
+    assert(decoded == ReferenceDecoder.reconstruct(enc.params, enc.codebook.codewords, steps, codes))
+  }
+
+  test("decoder rejects a code whose partition has no coefficients at its t, naming (trajId, t)") {
+    val (_, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05))
+    val i = codes.indexWhere(cp => cp.t == 7 && cp.trajId == 3)
+    val bad = codes.updated(i, codes(i).copy(part = Int.MaxValue))
+    val e = intercept[IllegalArgumentException](decodeWith(enc, enc.steps.toSeq, bad))
+    assert(e.getMessage.contains("(3, 7)"), e.getMessage)
+  }
+
+  test("decoder rejects a codeword index outside the codebook, naming (trajId, t)") {
+    val (_, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Spatial, epsP = 0.05))
+    val i = codes.indexWhere(cp => cp.t == 12 && cp.trajId == 5)
+    for (b <- Seq(-1, enc.codebook.size, Int.MaxValue)) {
+      val e = intercept[IllegalArgumentException](decodeWith(enc, enc.steps.toSeq, codes.updated(i, codes(i).copy(b = b))))
+      assert(e.getMessage.contains("(5, 12)") && e.getMessage.contains(s"codeword $b"), e.getMessage)
+    }
+  }
+
+  test("decoder rejects two codes for one (trajId, t), in any position") {
+    val (_, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05))
+    val i = codes.indexWhere(cp => cp.t == 20 && cp.trajId == 8)
+    for (twice <- Seq(codes :+ codes(i), codes(i) +: codes, codes.patch(i, Seq(codes(i), codes(i)), 1))) {
+      val e = intercept[IllegalArgumentException](decodeWith(enc, enc.steps.toSeq, twice))
+      assert(e.getMessage.contains("two codes for (8, 20)"), e.getMessage)
+    }
+  }
+
+  test("decoder rejects two step summaries for one t") {
+    val (_, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Single, gs = None))
+    val e = intercept[IllegalArgumentException](decodeWith(enc, enc.steps.toSeq :+ enc.steps(4), codes))
+    assert(e.getMessage.contains("t=5"), e.getMessage)
+  }
+
+  test("the decoded view answers get, contains and iterator; updates copy it into a plain Map") {
+    val (data, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05))
+    val decoded = decodeWith(enc, enc.steps.toSeq, codes)
+    assert(decoded.knownSize == codes.size && decoded.iterator.size == codes.size)
+    assert(decoded.keySet == codes.map(cp => (cp.trajId, cp.t)).toSet)
+    for ((id, t) <- Seq((-1, 1), (data.numTrajs, 1), (0, 0), (0, data.len + 1), (Int.MinValue, Int.MaxValue))) {
+      assert(decoded.get((id, t)).isEmpty && !decoded.contains((id, t)), s"($id, $t)")
+    }
+    val key = (2, 9)
+    val moved = decoded.updated(key, Pt(1.0, 2.0))
+    assert(moved.getClass != decoded.getClass && moved(key) == Pt(1.0, 2.0) && moved.size == decoded.size)
+    assert(decoded(key) == codes.find(cp => (cp.trajId, cp.t) == key).get.refined)
+    val less = decoded.removed(key)
+    assert(less.size == decoded.size - 1 && !less.contains(key) && decoded.contains(key))
+    assert(decodeWith(enc, enc.steps.toSeq, Seq.empty).isEmpty)
+  }
+
   // Q-trajectory quantizes the raw points in the encoder's (t, id) order:
   // E-PQ's codebook over the same points with the prediction left out.
   test("prediction shrinks the codebook vs no prediction (the paper's core claim)") {

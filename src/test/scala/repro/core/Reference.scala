@@ -9,9 +9,10 @@ import scala.collection.mutable
 // coordinate-0 sweep of the merge step and the boxed-map codebook, kept
 // verbatim as they were before the grid merge search and the primitive
 // cell table replaced them; then the PI with boxed-tuple posting keys, kept
-// verbatim as it was before the primitive postings replaced it. The
-// equivalence properties compare the main-source versions against these
-// bit for bit.
+// verbatim as it was before the primitive postings replaced it; then the
+// map-based summary decoder, kept verbatim as it was before the flat replay
+// replaced it. The equivalence properties compare the main-source versions
+// against these bit for bit.
 
 object ReferenceKMeans {
 
@@ -411,4 +412,27 @@ final class ReferencePiIndex(val gc: Double) {
 
   /** Compressed size of the postings and the region rectangles. */
   def sizeBits: Long = IdCodec.indexBits(postings.values, regions.length)
+}
+
+/** Reconstructs every trajectory point from the summary alone — the check
+  * that ({P_j[t]}, C, {b_i^t}, CQC) "are enough to reproduce any
+  * trajectory" (§5). Uses only (trajId, t, part, b, cqc) from the codes. */
+object ReferenceDecoder {
+  def reconstruct(params: PpqParams, codewords: IndexedSeq[Pt],
+                  steps: Seq[StepSummary], codes: Seq[CodedPoint]): Map[(Int, Int), Pt] = {
+    val qt = params.gs.map(g => new CoordinateQuadtree(Cqc.sideFor(params.eps1, g)))
+    val byT = codes.groupBy(_.t)
+    val history = new ReconHistory(params)
+    val out = mutable.HashMap.empty[(Int, Int), Pt]
+    for (s <- steps.sortBy(_.t); cp <- byT.getOrElse(s.t, Seq.empty)) {
+      val recon = history.predict(s.coeffs(cp.part), cp.trajId) + codewords(cp.b)
+      val refined = qt match {
+        case Some(q) => Cqc.refine(recon, CqcCode(cp.cqcBits, cp.cqcLen), params.eps1, params.gs.get, q)
+        case None => recon
+      }
+      history.add(cp.trajId, recon)
+      out((cp.trajId, cp.t)) = refined
+    }
+    out.toMap
+  }
 }
