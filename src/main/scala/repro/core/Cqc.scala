@@ -17,8 +17,8 @@ final case class CqcCode(bits: Long, len: Int)
   * 10 = bottom-left, 11 = bottom-right (high bit = bottom, low bit = right).
   */
 final class CoordinateQuadtree(val side: Int) {
-  require(side >= 1 && side <= CoordinateQuadtree.MaxSide, s"side out of range: $side")
   import CoordinateQuadtree._
+  require(side >= 1 && side <= MaxSide, s"side out of range: $side (allowed: 1..$MaxSide)")
 
   /** Path of 2-bit quadrant labels from the root to the unit cell (cx, cy). */
   def encode(cx: Int, cy: Int): CqcCode = {

@@ -102,16 +102,19 @@ object Partitioner {
   * once per update (the paper's fragmentation guard). A new trajectory
   * joins the nearest live partition, the first one listed on a tie. */
 final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
+  import IncrementalPartitioner.Growth
   import KMeans.dist
 
-  // The partition of each trajectory, at its slot in `trajSlots`.
-  private val trajSlots = new SlotTable
-  private var partOf = new Array[Int](16)
+  // The partition of each trajectory slot, -1 before its first update.
+  // `update` numbers the slots in `trajSlots`; the frontend passes its own.
+  private lazy val trajSlots = new SlotTable
+  private var partOf = Array.fill(16)(-1)
   // Partitions alive after the last update: ids and centroids by slot, and
   // the slot of each id.
   private var liveIds = Array.emptyIntArray
   private var liveCents = Array.empty[Array[Double]]
   private val liveSlots = new SlotTable
+  private val mergeCells = new SlotTable // `mergePartners`' grid, reused by every update
   private var nextPart = 0
   var splits = 0
   var merges = 0
@@ -121,6 +124,9 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
   private var round = 0
 
   def numPartitions: Int = liveIds.length
+
+  /** The live partitions' centroids by id. */
+  private[core] def centroids: Map[Int, Array[Double]] = liveIds.indices.map(s => liveIds(s) -> liveCents(s)).toMap
 
   /** Mean of vecs(idx(j)) for j in [from, until) and then [from2, until2),
     * summed in that order. */
@@ -153,6 +159,21 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
     (start, idx)
   }
 
+  /** Whether vecs(idx(j)), j in [from, until), are finite and pairwise at
+    * a distance above 0. */
+  private def distinctFinite(vecs: Array[Array[Double]], idx: Array[Int], from: Int, until: Int): Boolean = {
+    var j = from
+    while (j < until) {
+      val v = vecs(idx(j))
+      var d = 0
+      while (d < v.length) { if (!java.lang.Double.isFinite(v(d))) return false; d += 1 }
+      var l = from
+      while (l < j) { if (!(dist(vecs(idx(l)), v) > 0)) return false; l += 1 }
+      j += 1
+    }
+    true
+  }
+
   /** Slot of the live centroid nearest to v; ties go to the lowest slot. */
   private def nearestLive(v: Array[Double]): Int = {
     var best = 0; var bd = Double.MaxValue
@@ -163,11 +184,16 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
 
   /** Assign each (id, vec) to a partition; returns partition ids aligned
     * with the input order. */
-  def update(ids: Array[Int], vecs: Array[Array[Double]]): Array[Int] = {
+  def update(ids: Array[Int], vecs: Array[Array[Double]]): Array[Int] =
+    updateSlots(Array.tabulate(ids.length)(i => trajSlots.slotOrAdd(ids(i))), vecs)
+
+  /** `update` for the trajectories at `slots`: dense indices that stand
+    * for the ids one to one, as a `SlotTable` numbers them. */
+  private[core] def updateSlots(slots: Array[Int], vecs: Array[Array[Double]]): Array[Int] = {
     round += 1
-    require(ids.length == vecs.length)
-    if (ids.isEmpty) return Array.empty
-    val n = ids.length
+    require(slots.length == vecs.length)
+    if (slots.isEmpty) return Array.empty
+    val n = slots.length
     // Step 1: carry over previous assignments; new trajectories join the
     // nearest live partition (or seed the first one). Groups are numbered
     // in order of first appearance.
@@ -180,8 +206,9 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
     val grp = new Array[Int](n)
     var i = 0
     while (i < n) {
-      val ts = trajSlots.slot(ids(i))
-      val prev = if (ts < 0) -1 else liveSlots.slot(partOf(ts))
+      val ts = slots(i)
+      val part = if (ts < partOf.length) partOf(ts) else -1
+      val prev = if (part < 0) -1 else liveSlots.slot(part)
       val s = if (prev >= 0) prev else nearestLive(vecs(i))
       if (groupOfSlot(s) < 0) { groupOfSlot(s) = groups; groupSlot(groups) = s; groups += 1 }
       grp(i) = groupOfSlot(s)
@@ -207,9 +234,21 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
         j = from
         while (j < until) { rOf(gIdx(j)) = m; j += 1 }
         m += 1
+      } else if (until - from <= 1 + Growth && worst > epsP && distinctFinite(vecs, gIdx, from, until)) {
+        // partitionByThreshold's answer, known without k-means: round 1
+        // (q = 1) is the mean just rejected, and round 2, the last, has
+        // q = n, which leaves n singletons of deviation 0 (DESIGN.md §7.6).
+        j = from
+        while (j < until) {
+          rid(m) = nextPart; nextPart += 1; rcent(m) = mean(vecs, gIdx, j, j + 1); rOf(gIdx(j)) = m
+          m += 1
+          j += 1
+        }
+        splits += until - from - 1
+        if (epsP < 0) cappedSplits += 1
       } else {
         val vs = Array.tabulate(until - from)(j => vecs(gIdx(from + j)))
-        val r = Partitioner.partitionByThreshold(vs, epsP, seed = seed + round) // q grows by the default a = 4
+        val r = Partitioner.partitionByThreshold(vs, epsP, Growth, seed = seed + round)
         val local = Array.fill(r.centroids.length)(-1)
         val m0 = m
         j = 0
@@ -227,7 +266,7 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
     // Step 3: merge centroids within ε_p, each partition at most once:
     // a merges with the smallest unmerged b > a within ε_p. Centroids stay
     // fixed during the loop (merged pairs are recomputed after it).
-    val partner = IncrementalPartitioner.mergePartners(rcent, m, epsP)
+    val partner = IncrementalPartitioner.mergePartners(rcent, m, epsP, mergeCells)
     val into = Array.range(0, m) // the partition each one ends in
     val (rStart, rIdx) = buckets(rOf, m)
     var a = 0
@@ -246,8 +285,12 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
     i = 0
     while (i < n) {
       out(i) = rid(into(rOf(i)))
-      val ts = trajSlots.slotOrAdd(ids(i))
-      if (ts == partOf.length) partOf = java.util.Arrays.copyOf(partOf, 2 * ts)
+      val ts = slots(i)
+      if (ts >= partOf.length) {
+        val had = partOf.length
+        partOf = java.util.Arrays.copyOf(partOf, math.max(2 * had, ts + 1))
+        java.util.Arrays.fill(partOf, had, partOf.length, -1)
+      }
       partOf(ts) = out(i)
       i += 1
     }
@@ -269,6 +312,9 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
 object IncrementalPartitioner {
   import KMeans.dist
 
+  /** The `a` of every re-partition: q grows by 4 per round. */
+  private val Growth = 4
+
   /** The merge step over cents(0 until m): visiting a in increasing order,
     * an a not yet merged takes as partner(a) the smallest b > a not yet
     * merged with dist ≤ ε_p, if any; partner(a) is -1 otherwise.
@@ -279,8 +325,9 @@ object IncrementalPartitioner {
     * cell's first unmerged hit is its smallest. Any b that the exact test
     * accepts lies in a's cell or a neighbouring one as long as every grid
     * coordinate is within 2⁴⁰·w of 0 and ε_p ≥ 1e-100 (DESIGN.md §7.2);
-    * otherwise every b > a is tested. */
-  private[core] def mergePartners(cents: Array[Array[Double]], m: Int, epsP: Double): Array[Int] = {
+    * otherwise every b > a is tested. `cells` is cleared and then holds
+    * the grid's cells, so one table serves every call. */
+  private[core] def mergePartners(cents: Array[Array[Double]], m: Int, epsP: Double, cells: SlotTable): Array[Int] = {
     val partner = Array.fill(m)(-1)
     val gone = new Array[Boolean](m) // visited as a, or merged into an earlier partition
     val w = epsP * (1 + 1.0 / 1024)
@@ -294,8 +341,8 @@ object IncrementalPartitioner {
     }
     val cx = new Array[Long](m); val cy = new Array[Long](m)
     val head = new Array[Int](m); val next = new Array[Int](m)
-    val cells = new SlotTable
     if (gridded) {
+      cells.clear()
       val tail = new Array[Int](m)
       r = 0
       while (r < m) {

@@ -24,6 +24,7 @@ final case class PpqParams(
     seed: Long = 17) extends Serializable {
   require(k >= 1, s"k must be at least 1: k = $k")
   require(eps1 > 0 && !eps1.isInfinite, s"ε₁ must be positive and finite: ε₁ = $eps1")
+  require(epsP >= 0, s"ε_p must be 0 or more and not NaN: ε_p = $epsP")
   for (g <- gs) {
     require(g > 0 && !g.isInfinite, s"g_s must be positive and finite: g_s = $g")
     val side = Cqc.sideFor(eps1, g)
@@ -44,6 +45,27 @@ final case class CodedPoint(
   * travels in its `CodedPoint.part`. */
 final case class StepSummary(t: Int, coeffs: Map[Int, Array[Double]])
 
+/** A step's coefficients as a read-only map from partition id to P: the
+  * ids sorted in `parts`, the P of parts(i) at coeffs(i). `get` binary-
+  * searches the id; `iterator` walks the ids in increasing order.
+  * `updated` and `removed` copy the entries into a plain `Map`. */
+final class PartCoeffs private[core] (parts: Array[Int], coeffs: Array[Array[Double]])
+    extends immutable.AbstractMap[Int, Array[Double]] with Serializable {
+
+  def get(part: Int): Option[Array[Double]] = {
+    val at = java.util.Arrays.binarySearch(parts, part)
+    if (at < 0) None else Some(coeffs(at))
+  }
+
+  def iterator: Iterator[(Int, Array[Double])] = parts.indices.iterator.map(i => (parts(i), coeffs(i)))
+
+  override def size: Int = parts.length
+  override def knownSize: Int = parts.length
+
+  def updated[V1 >: Array[Double]](key: Int, value: V1): Map[Int, V1] = Map.from(this).updated(key, value)
+  def removed(key: Int): Map[Int, Array[Double]] = Map.from(this).removed(key)
+}
+
 /** How the encoder builds its codebook C. Alg. 1 grows one error-bounded
   * codebook over the whole stream; the equal-budget protocol of Tables 2–4
   * (§6.2.1) learns a codebook per timestamp instead. */
@@ -57,14 +79,13 @@ object CodebookPolicy {
   final case class KMeansPerStep(v: Int) extends CodebookPolicy
 }
 
-/** The last `cap` points of each trajectory, oldest first. Each
-  * trajectory gets a slot of an id→slot `SlotTable` and a fixed ring of
-  * 2·cap coordinates in `xs` and `ys` from `slot * 2 * cap`; every point is
-  * written twice, at its ring position and cap places later, so the
-  * window is always the contiguous run `start(slot) until start(slot) +
-  * length(slot)`. */
+/** The last `cap` points of each trajectory, oldest first. A trajectory
+  * is a slot, a dense index that the owner's `SlotTable` gives its id, and
+  * has a fixed ring of 2·cap coordinates in `xs` and `ys` from `slot * 2 *
+  * cap`; every point is written twice, at its ring position and cap places
+  * later, so the window is always the contiguous run `start(slot) until
+  * start(slot) + length(slot)`. A slot with no point has length 0. */
 private[core] final class TrajWindow(cap: Int) {
-  private val slots = new SlotTable
   private var _xs = new Array[Double](16 * 2 * cap)
   private var _ys = new Array[Double](16 * 2 * cap)
   private var head = new Array[Int](16) // ring position of the oldest point
@@ -73,17 +94,15 @@ private[core] final class TrajWindow(cap: Int) {
   def xs: Array[Double] = _xs
   def ys: Array[Double] = _ys
 
-  /** The slot of `id`, or -1 if no point of it was added. */
-  def slotOf(id: Int): Int = slots.slot(id)
-  def length(slot: Int): Int = count(slot)
+  def length(slot: Int): Int = if (slot < count.length) count(slot) else 0
   /** Index in `xs` and `ys` of the oldest point of `slot`. */
-  def start(slot: Int): Int = slot * 2 * cap + head(slot)
+  def start(slot: Int): Int = slot * 2 * cap + (if (slot < head.length) head(slot) else 0)
 
-  def add(id: Int, p: Pt): Unit = {
-    val s = slots.slotOrAdd(id)
-    if (s == count.length) {
-      _xs = java.util.Arrays.copyOf(_xs, 4 * s * cap); _ys = java.util.Arrays.copyOf(_ys, 4 * s * cap)
-      head = java.util.Arrays.copyOf(head, 2 * s); count = java.util.Arrays.copyOf(count, 2 * s)
+  def add(s: Int, p: Pt): Unit = {
+    if (s >= count.length) {
+      val slots = math.max(2 * count.length, s + 1)
+      _xs = java.util.Arrays.copyOf(_xs, 2 * slots * cap); _ys = java.util.Arrays.copyOf(_ys, 2 * slots * cap)
+      head = java.util.Arrays.copyOf(head, slots); count = java.util.Arrays.copyOf(count, slots)
     }
     // A full ring overwrites its oldest point and moves on by one.
     val pos = if (count(s) < cap) { count(s) += 1; count(s) - 1 } else { val h = head(s); head(s) = (h + 1) % cap; h }
@@ -96,26 +115,29 @@ private[core] final class TrajWindow(cap: Int) {
 /** The last k reconstructed points of each trajectory and the prediction
   * rule over them: Eq. 2 predicts from the reconstructions T̂, never from
   * the raw points. The encoder's frontend and the decoder each keep one
-  * and feed it the same reconstructions, so both predict the same point. */
+  * and feed it the same reconstructions, so both predict the same point.
+  * Both address trajectories by the slots of their own `SlotTable`; the
+  * id methods number slots the same way, in a table of their own. */
 final class ReconHistory(params: PpqParams) {
   private[core] val window = new TrajWindow(params.k)
+  private lazy val slots = new SlotTable
 
-  /** Index in `window.xs` of the most recent of `id`'s k reconstructed
-    * points, or -1 while fewer than k are known. */
-  private[core] def newest(id: Int): Int = {
-    val s = window.slotOf(id)
-    if (s < 0 || window.length(s) < params.k) -1 else window.start(s) + params.k - 1
-  }
+  /** Index in `window.xs` of the most recent of the k reconstructed points
+    * at `slot`, or -1 while fewer than k are known. */
+  private[core] def newest(slot: Int): Int =
+    if (window.length(slot) < params.k) -1 else window.start(slot) + params.k - 1
 
   /** P_j[t] applied to the last k reconstructed points of `id`, or 0
     * while fewer than k are known (t ≤ k in Alg. 1). */
-  def predict(coeffs: Array[Double], id: Int): Pt = predictFrom(coeffs, newest(id))
+  def predict(coeffs: Array[Double], id: Int): Pt = predictFrom(coeffs, newest(slots.slotOrAdd(id)))
 
   /** `predict` for the trajectory whose `newest` index is `last`. */
   private[core] def predictFrom(coeffs: Array[Double], last: Int): Pt =
     if (last < 0) Pt(0.0, 0.0) else Predictor.predict(coeffs, window.xs, window.ys, last)
 
-  def add(id: Int, recon: Pt): Unit = window.add(id, recon)
+  def add(id: Int, recon: Pt): Unit = addAt(slots.slotOrAdd(id), recon)
+
+  private[core] def addAt(slot: Int, recon: Pt): Unit = window.add(slot, recon)
 }
 
 /** The shared predictive front half of PPQ: incremental partitioning,
@@ -128,50 +150,65 @@ final class PredictiveFrontend(val params: PpqParams) {
   private val raw = new TrajWindow(ArWindow + params.k)
   private val keepRaw = params.mode == PartitionMode.Autocorr  // the only mode that reads `raw`
   private val partitioner = new IncrementalPartitioner(params.epsP, params.seed)
+  // Each trajectory's slot in the history, the raw window and the partitioner.
+  private val trajs = new SlotTable
+  private val eq = new Predictor.NormalEquations(params.k) // every fit of a step, one after another
+  // The points of the last plan and their slots, for `commit`.
+  private var planned: Array[(Int, Pt)] = Array.empty
+  private var plannedSlots = Array.emptyIntArray
 
   def numPartitions: Int = partitioner.numPartitions
 
+  private def slotsOf(points: Array[(Int, Pt)]): Array[Int] = {
+    val slots = new Array[Int](points.length)
+    var i = 0
+    while (i < points.length) { slots(i) = trajs.slotOrAdd(points(i)._1); i += 1 }
+    slots
+  }
+
   def plan(t: Int, points: Array[(Int, Pt)]): Plan = {
     val n = points.length
-    val k = params.k
-    val ids = Array.tabulate(n)(i => points(i)._1)
+    val slots = slotsOf(points)
+    planned = points; plannedSlots = slots
     val assign: Array[Int] = params.mode match {
       case PartitionMode.Single => new Array[Int](n)
       case PartitionMode.Spatial =>
-        partitioner.update(ids, Array.tabulate(n) { i => val p = points(i)._2; Array(p.x, p.y) })
+        partitioner.updateSlots(slots, Array.tabulate(n) { i => val p = points(i)._2; Array(p.x, p.y) })
       case PartitionMode.Autocorr =>
-        partitioner.update(ids, Array.tabulate(n) { i =>
-          val s = raw.slotOf(ids(i))
-          if (s < 0) new Array[Double](k)
-          else Predictor.arFeatures(raw.xs, raw.ys, raw.start(s), raw.length(s), k, ArWindow)
+        partitioner.updateSlots(slots, Array.tabulate(n) { i =>
+          val s = slots(i)
+          Predictor.arFeatures(eq, raw.xs, raw.ys, raw.start(s), raw.length(s), ArWindow)
         })
     }
     // Visit points grouped by partition, in increasing index within each
-    // group: the least-squares sums run in that order.
+    // group: the least-squares sums run in that order, and the partitions
+    // in increasing id.
     val byPart = new Array[Long](n)
     var i = 0
     while (i < n) { byPart(i) = (assign(i).toLong << 32) | i; i += 1 }
     java.util.Arrays.sort(byPart)
     val last = new Array[Int](n) // each point's `history.newest`
     i = 0
-    while (i < n) { last(i) = history.newest(ids(i)); i += 1 }
+    while (i < n) { last(i) = history.newest(slots(i)); i += 1 }
     val hx = history.window.xs; val hy = history.window.ys
-    val coeffs = Map.newBuilder[Int, Array[Double]]
+    val parts = new Array[Int](n)
+    val coeffs = new Array[Array[Double]](n)
+    var np = 0
     val preds = new Array[Pt](n)
     var from = 0
     while (from < n) {
       val part = (byPart(from) >>> 32).toInt
       var until = from
       while (until < n && (byPart(until) >>> 32).toInt == part) until += 1
-      val eq = new Predictor.NormalEquations(k)
+      eq.reset()
       var j = from
       while (j < until) {
         i = byPart(j).toInt
         if (last(i) >= 0) { val p = points(i)._2; eq.add(hx, hy, last(i), p.x, p.y) }
         j += 1
       }
-      val c = if (eq.rows > 0) eq.solve() else new Array[Double](k)
-      coeffs += part -> c
+      val c = eq.solve()
+      parts(np) = part; coeffs(np) = c; np += 1
       j = from
       while (j < until) {
         i = byPart(j).toInt
@@ -180,18 +217,18 @@ final class PredictiveFrontend(val params: PpqParams) {
       }
       from = until
     }
-    Plan(assign, coeffs.result(), preds)
+    Plan(assign, new PartCoeffs(java.util.Arrays.copyOf(parts, np), java.util.Arrays.copyOf(coeffs, np)), preds)
   }
 
   /** Record this step's codebook reconstructions — they drive the next
     * step's prediction (Eq. 2 uses T̂) — and, under `Autocorr`, the raw
     * points the AR features are computed from. */
   def commit(points: Array[(Int, Pt)], recons: Array[Pt]): Unit = {
+    val slots = if (points eq planned) plannedSlots else slotsOf(points)
     var i = 0
     while (i < points.length) {
-      val id = points(i)._1
-      history.add(id, recons(i))
-      if (keepRaw) raw.add(id, points(i)._2)
+      history.addAt(slots(i), recons(i))
+      if (keepRaw) raw.add(slots(i), points(i)._2)
       i += 1
     }
   }
@@ -399,14 +436,14 @@ object PpqDecoder {
         if (cp.b < 0 || cp.b >= wx.length)
           throw new IllegalArgumentException(
             s"code (${cp.trajId}, $t) names codeword ${cp.b} of a codebook of ${wx.length}")
-        val pred = history.predict(partCoeffs(part), cp.trajId)
+        val slot = slotOf(order(o))
+        val pred = history.predictFrom(partCoeffs(part), history.newest(slot))
         val recon = Pt(pred.x + wx(cp.b), pred.y + wy(cp.b))
         val refined = qt match {
           case Some(q) => Cqc.refine(recon, CqcCode(cp.cqcBits, cp.cqcLen), params.eps1, params.gs.get, q)
           case None => recon
         }
-        history.add(cp.trajId, recon)
-        val slot = slotOf(order(o))
+        history.addAt(slot, recon)
         val at = cursor(slot)
         if (at > starts(slot) && ts(at - 1) == t)
           throw new IllegalArgumentException(s"two codes for (${cp.trajId}, $t)")

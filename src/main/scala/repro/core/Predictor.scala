@@ -47,8 +47,11 @@ object Predictor {
   /** The ridge-regularised normal equations of the least-squares fit of
     * P (length k), summed one sample at a time: a sample's history is k
     * points, most recent first, read backwards from index `last` of
-    * coordinate arrays, so a window buffer feeds them without copying. */
-  private[core] final class NormalEquations(k: Int) {
+    * coordinate arrays, so a window buffer feeds them without copying.
+    * Only the upper triangle is summed; `solve` mirrors it (DESIGN.md
+    * §7.6). One instance serves any number of fits: `reset` starts the
+    * next one. */
+  private[core] final class NormalEquations(val k: Int) {
     private val m: Array[Array[Double]] = { // plain arrays: `Array.ofDim` would look up a ClassTag
       val a = new Array[Array[Double]](k)
       var r = 0
@@ -56,7 +59,18 @@ object Predictor {
       a
     }
     private val v = new Array[Double](k)
-    var rows = 0
+
+    /** Clears the sums, including what `solve` left in them. */
+    def reset(): Unit = {
+      var a = 0
+      while (a < k) {
+        val row = m(a)
+        var b = 0
+        while (b < k) { row(b) = 0.0; b += 1 }
+        v(a) = 0.0
+        a += 1
+      }
+    }
 
     /** Adds the sample h(a) = (xs(last - a), ys(last - a)), a < k, with
       * target (tx, ty). */
@@ -65,17 +79,23 @@ object Predictor {
       while (a < k) {
         val ax = xs(last - a); val ay = ys(last - a)
         v(a) += ax * tx + ay * ty
-        var b = 0
-        while (b < k) { m(a)(b) += ax * xs(last - b) + ay * ys(last - b); b += 1 }
+        val row = m(a)
+        var b = a
+        while (b < k) { row(b) += ax * xs(last - b) + ay * ys(last - b); b += 1 }
         a += 1
       }
-      rows += 1
     }
 
-    /** P, with 1e-8 added to the diagonal; consumes the sums. */
+    /** P, with 1e-8 added to the diagonal; consumes the sums. With no
+      * sample added since `reset`, P is exactly 0. */
     def solve(): Array[Double] = {
-      var d = 0
-      while (d < k) { m(d)(d) += 1e-8; d += 1 }
+      var a = 0
+      while (a < k) {
+        var b = a + 1
+        while (b < k) { m(b)(a) = m(a)(b); b += 1 }
+        m(a)(a) += 1e-8
+        a += 1
+      }
       Predictor.solve(m, v)
     }
   }
@@ -117,15 +137,17 @@ object Predictor {
   def arFeatures(series: collection.IndexedSeq[Pt], k: Int, window: Int): Array[Double] = {
     val n = series.length
     val xs = Array.tabulate(n)(series(_).x); val ys = Array.tabulate(n)(series(_).y)
-    arFeatures(xs, ys, 0, n, k, window)
+    arFeatures(new NormalEquations(k), xs, ys, 0, n, window)
   }
 
-  /** `arFeatures` of the series (xs(from + t), ys(from + t)), t < n: the
-    * last `window` samples are fitted on their k predecessors, in t order. */
-  private[core] def arFeatures(xs: Array[Double], ys: Array[Double], from: Int, n: Int, k: Int, window: Int
-                              ): Array[Double] = {
+  /** `arFeatures` of the series (xs(from + t), ys(from + t)), t < n, for
+    * k = `eq.k`, summed in `eq`: the last `window` samples are fitted on
+    * their k predecessors, in t order. */
+  private[core] def arFeatures(eq: NormalEquations, xs: Array[Double], ys: Array[Double], from: Int, n: Int,
+                               window: Int): Array[Double] = {
+    val k = eq.k
     if (n < k + 2) return new Array[Double](k)
-    val eq = new NormalEquations(k)
+    eq.reset()
     var t = math.max(k, n - window)
     while (t < n) { eq.add(xs, ys, from + t - 1, xs(from + t), ys(from + t)); t += 1 }
     eq.solve()

@@ -50,6 +50,15 @@ class CqcSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](qt.encode(0, -1))
   }
 
+  test("the quadtree rejects a side outside 1..MaxSide, naming the side and the range") {
+    for (side <- Seq(0, -3, CoordinateQuadtree.MaxSide + 1)) {
+      val e = intercept[IllegalArgumentException](new CoordinateQuadtree(side))
+      assert(e.getMessage.contains(s"side out of range: $side") &&
+        e.getMessage.contains(s"1..${CoordinateQuadtree.MaxSide}"), e.getMessage)
+    }
+    assert(new CoordinateQuadtree(CoordinateQuadtree.MaxSide).side == CoordinateQuadtree.MaxSide)
+  }
+
   test("sideFor matches the paper's defaults (eps1=111m, gs=50m => 5 cells)") {
     // 2*eps1/gs = 2*0.001/(50/111000) = 4.44 -> 5
     assert(Cqc.sideFor(0.001, Geo.toDegrees(50.0)) == 5)

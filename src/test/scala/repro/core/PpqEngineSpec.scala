@@ -296,4 +296,12 @@ class PpqEngineSpec extends AnyFunSuite {
     }
     assert(PpqParams(k = 1).k == 1)
   }
+
+  test("PpqParams rejects a NaN or negative ε_p and accepts 0 and +∞") {
+    for (e <- Seq(Double.NaN, -0.05, -1e-300, Double.NegativeInfinity)) {
+      val ex = intercept[IllegalArgumentException](PpqParams(epsP = e))
+      assert(ex.getMessage.contains("ε_p") && ex.getMessage.contains(e.toString), ex.getMessage)
+    }
+    for (e <- Seq(0.0, -0.0, 0.05, 0.5, Double.PositiveInfinity)) assert(PpqParams(epsP = e).epsP.equals(e))
+  }
 }

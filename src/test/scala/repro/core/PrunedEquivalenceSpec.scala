@@ -6,10 +6,11 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 
 /** The pruned k-means sweep, the array-backed incremental partitioner, its
-  * grid merge search and the codebook's primitive cell table must
-  * reproduce the reference implementations bit for bit, on inputs built to
-  * provoke ties: duplicates, lattice points, near-identical points and
-  * points on cell edges, in 1–3 dimensions, with q from 1 to n. */
+  * grid merge search, the codebook's primitive cell table and the reused
+  * normal-equation buffers must reproduce the reference implementations
+  * bit for bit, on inputs built to provoke ties: duplicates, lattice
+  * points, near-identical points and points on cell edges, in 1–3
+  * dimensions, with q from 1 to n. */
 class PrunedEquivalenceSpec extends AnyFunSuite {
 
   private def check(p: Prop, tests: Int = 300): Unit = {
@@ -145,31 +146,60 @@ class PrunedEquivalenceSpec extends AnyFunSuite {
     }
   }
 
+  /** Vectors for groups of 2–5 members that break ε_p: each is a fresh
+    * draw from `coord`, a copy of an earlier one (an exact duplicate),
+    * a copy with one coordinate set to −0.0 or +0.0, or a copy moved by
+    * 1e-200 along one axis, whose squared distance to it underflows to 0. */
+  private def smallGroupVecs(dim: Int, n: Int): Gen[Array[Array[Double]]] =
+    Gen.listOfN(n, Gen.zip(Gen.choose(0, 4), Gen.choose(0, 1000), Gen.choose(0, dim - 1),
+                           Gen.listOfN(dim, coord))).map { draws =>
+      val vs = mutable.ArrayBuffer.empty[Array[Double]]
+      for ((variant, anchor, axis, fresh) <- draws) {
+        val v = if (vs.isEmpty || variant == 0) fresh.toArray else vs(anchor % vs.length).clone
+        if (vs.nonEmpty) variant match {
+          case 2 => v(axis) = -0.0
+          case 3 => v(axis) = 0.0
+          case 4 => v(axis) += 1e-200
+          case _ =>
+        }
+        vs += v
+      }
+      vs.toArray
+    }
+
   /** Several updates over drifting vectors. `turnover` lets trajectories
     * leave and join between updates; it uses continuous coordinates, since
     * the reference breaks exact distance ties between partitions in hash-map
-    * order when a new trajectory picks its nearest partition. */
-  private def updatesGen(turnover: Boolean): Gen[(Int, Double, Seq[(Array[Int], Array[Array[Double]])])] = for {
+    * order when a new trajectory picks its nearest partition. `small` keeps
+    * 2–12 trajectories from `smallGroupVecs`, so that most groups that break
+    * ε_p have 2–5 members, with ε_p also 0, negative or NaN. */
+  private def updatesGen(turnover: Boolean, small: Boolean = false
+                        ): Gen[(Int, Double, Seq[(Array[Int], Array[Array[Double]])])] = for {
     dim <- Gen.choose(1, 3)
-    n <- Gen.choose(1, 50)
-    epsP <- Gen.oneOf(0.1, 0.3, 0.5, 1.0)
+    n <- if (small) Gen.choose(2, 12) else Gen.choose(1, 50)
+    epsP <- if (small) Gen.oneOf(0.0, -1.0, Double.NaN, 0.1, 0.3, 1.0) else Gen.oneOf(0.1, 0.3, 0.5, 1.0)
     steps <- Gen.choose(1, 6)
     value = if (turnover) Gen.choose(-2.0, 2.0) else coord
     frames <- Gen.listOfN(steps, for {
       keep <- if (turnover) Gen.listOfN(n, Gen.prob(0.8)) else Gen.const(List.fill(n)(true))
-      vs <- Gen.listOfN(n, Gen.listOfN(dim, value).map(_.toArray))
+      vs <- if (small) smallGroupVecs(dim, n).map(_.toList) else Gen.listOfN(n, Gen.listOfN(dim, value).map(_.toArray))
     } yield {
       val ids = (0 until n).filter(keep).toArray
       (ids, ids.map(vs(_)))
     })
   } yield (dim, epsP, frames)
 
+  /** Same partition ids, counters and live centroids, bit for bit with the
+    * sign of zero. */
   private def sameUpdates(epsP: Double, frames: Seq[(Array[Int], Array[Array[Double]])]): Boolean = {
     val ref = new ReferenceIncrementalPartitioner(epsP)
     val ip = new IncrementalPartitioner(epsP)
     frames.forall { case (ids, vecs) =>
-      java.util.Arrays.equals(ref.update(ids, vecs), ip.update(ids, vecs)) &&
-        ref.splits == ip.splits && ref.merges == ip.merges && ref.numPartitions == ip.numPartitions
+      val same = java.util.Arrays.equals(ref.update(ids, vecs), ip.update(ids, vecs))
+      val (rc, ic) = (ref.centroids, ip.centroids)
+      same && ref.splits == ip.splits && ref.merges == ip.merges && ref.cappedSplits == ip.cappedSplits &&
+        ref.numPartitions == ip.numPartitions && rc.keySet == ic.keySet &&
+        rc.forall { case (p, c) => java.util.Arrays.equals(c, ic(p)) }
     }
   }
 
@@ -179,6 +209,12 @@ class PrunedEquivalenceSpec extends AnyFunSuite {
 
   test("IncrementalPartitioner.update equals the reference with trajectories leaving and joining") {
     check(Prop.forAllNoShrink(updatesGen(turnover = true)) { case (_, epsP, frames) => sameUpdates(epsP, frames) })
+  }
+
+  test("IncrementalPartitioner.update equals the reference on small groups that break ε_p") {
+    check(Prop.forAllNoShrink(updatesGen(turnover = false, small = true)) { case (_, epsP, frames) =>
+      sameUpdates(epsP, frames)
+    }, tests = 1000)
   }
 
   /** One centroid coordinate near the merge grid's edges: a multiple of
@@ -227,8 +263,9 @@ class PrunedEquivalenceSpec extends AnyFunSuite {
   }
 
   test("the grid merge search picks the partners of the coordinate-0 sweep") {
+    val cells = new SlotTable // one grid for every case, as a partitioner keeps one for every update
     check(Prop.forAllNoShrink(mergeCase) { case (cents, epsP) =>
-      java.util.Arrays.equals(IncrementalPartitioner.mergePartners(cents, cents.length, epsP),
+      java.util.Arrays.equals(IncrementalPartitioner.mergePartners(cents, cents.length, epsP, cells),
                               ReferenceMergeSweep.partners(cents, cents.length, epsP))
     }, tests = 2000)
   }
@@ -259,4 +296,56 @@ class PrunedEquivalenceSpec extends AnyFunSuite {
       } && ref.codewords == cb.codewords
     }, tests = 1000)
   }
+
+  import PrunedEquivalenceSpec.Fit
+
+  /** Coordinates of fits: they repeat, include ±0.0 and lie far from 0,
+    * so the sums meet exact ties, collinear histories and pivoting. */
+  private val fitValue: Gen[Double] = Gen.frequency(
+    3 -> Gen.choose(-2.0, 2.0),
+    2 -> Gen.choose(-4, 4).map(_ * 0.5),
+    1 -> Gen.oneOf(0.0, -0.0),
+    2 -> Gen.choose(-1e-3, 1e-3).map(_ + 116.35))
+
+  private val fitGen: Gen[Fit] = for {
+    k <- Gen.choose(1, 4)
+    len <- Gen.choose(0, 30)
+    pool <- Gen.listOfN(3, fitValue)
+    xs <- Gen.listOfN(len, Gen.frequency(3 -> fitValue, 1 -> Gen.oneOf(pool)))
+    ys <- Gen.listOfN(len, Gen.frequency(3 -> fitValue, 1 -> Gen.oneOf(pool)))
+    ar <- Gen.prob(0.5)
+    from <- Gen.choose(0, len)
+    n <- Gen.choose(0, len - from)
+    window <- Gen.choose(1, 14)
+    samples <- if (len < k) Gen.const(Nil)
+               else Gen.choose(0, 8).flatMap(Gen.listOfN(_, Gen.zip(Gen.choose(k - 1, len - 1), fitValue, fitValue)))
+  } yield Fit(k, ar, xs.toArray, ys.toArray, from, n, window, samples)
+
+  test("AR features and partition fits on reused buffers equal fresh full normal equations") {
+    // One buffer per k, shared by every fit of every case in drawn order,
+    // as a frontend shares one by all fits of its steps.
+    val eqs = Array.tabulate(5)(k => new Predictor.NormalEquations(math.max(k, 1)))
+    check(Prop.forAllNoShrink(Gen.choose(1, 12).flatMap(Gen.listOfN(_, fitGen))) { fits =>
+      fits.forall { f =>
+        val eq = eqs(f.k)
+        if (f.ar) java.util.Arrays.equals(Predictor.arFeatures(eq, f.xs, f.ys, f.from, f.n, f.window),
+                                          ReferencePredictor.arFeatures(f.xs, f.ys, f.from, f.n, f.k, f.window))
+        else {
+          eq.reset()
+          val ref = new ReferencePredictor.NormalEquations(f.k)
+          for ((last, tx, ty) <- f.samples) { eq.add(f.xs, f.ys, last, tx, ty); ref.add(f.xs, f.ys, last, tx, ty) }
+          // the old plan's rule: zeros for a partition with no sample
+          java.util.Arrays.equals(eq.solve(), if (ref.rows > 0) ref.solve() else new Array[Double](f.k))
+        }
+      }
+    }, tests = 500)
+  }
+}
+
+object PrunedEquivalenceSpec {
+  /** A fit on a shared buffer: AR features (`ar`) over xs/ys(from until
+    * from + n) with `window`, or a partition's fit of the samples (last,
+    * tx, ty). */
+  final case class Fit(k: Int, ar: Boolean, xs: Array[Double], ys: Array[Double], from: Int, n: Int,
+                       window: Int, samples: List[(Int, Double, Double)])
 }

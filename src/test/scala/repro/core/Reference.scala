@@ -11,8 +11,12 @@ import scala.collection.mutable
 // cell table replaced them; then the PI with boxed-tuple posting keys, kept
 // verbatim as it was before the primitive postings replaced it; then the
 // map-based summary decoder, kept verbatim as it was before the flat replay
-// replaced it. The equivalence properties compare the main-source versions
-// against these bit for bit.
+// replaced it; then the fresh full k×k normal equations and the AR features
+// over them, kept verbatim as they were before the reused upper-triangle
+// buffers replaced them. The incremental partitioner also counts capped
+// splits and shows its live centroids, as the main one does. The
+// equivalence properties compare the main-source versions against these
+// bit for bit.
 
 object ReferenceKMeans {
 
@@ -126,9 +130,11 @@ final class ReferenceIncrementalPartitioner(epsP: Double, growth: Int = 4, seed:
   private var nextPart = 0
   var splits = 0
   var merges = 0
+  var cappedSplits = 0
   private var round = 0
 
   def numPartitions: Int = centroidOf.size
+  def centroids: Map[Int, Array[Double]] = centroidOf
 
   private def dist(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0
@@ -178,6 +184,7 @@ final class ReferenceIncrementalPartitioner(epsP: Double, growth: Int = 4, seed:
         val r = ReferencePartitioner.partitionByThreshold(vs, epsP, growth, seed = seed + round)
         val localParts = r.assign.distinct
         splits += localParts.length - 1
+        if (ReferencePartitioner.maxDeviation(vs, r.assign, r.centroids) > epsP) cappedSplits += 1
         val remap = localParts.map { lp =>
           val np = nextPart; nextPart += 1
           lp -> np
@@ -434,5 +441,55 @@ object ReferenceDecoder {
       out((cp.trajId, cp.t)) = refined
     }
     out.toMap
+  }
+}
+
+object ReferencePredictor {
+
+  /** The ridge-regularised normal equations of the least-squares fit of
+    * P (length k), summed one sample at a time: a sample's history is k
+    * points, most recent first, read backwards from index `last` of
+    * coordinate arrays, so a window buffer feeds them without copying. */
+  final class NormalEquations(k: Int) {
+    private val m: Array[Array[Double]] = { // plain arrays: `Array.ofDim` would look up a ClassTag
+      val a = new Array[Array[Double]](k)
+      var r = 0
+      while (r < k) { a(r) = new Array[Double](k); r += 1 }
+      a
+    }
+    private val v = new Array[Double](k)
+    var rows = 0
+
+    /** Adds the sample h(a) = (xs(last - a), ys(last - a)), a < k, with
+      * target (tx, ty). */
+    def add(xs: Array[Double], ys: Array[Double], last: Int, tx: Double, ty: Double): Unit = {
+      var a = 0
+      while (a < k) {
+        val ax = xs(last - a); val ay = ys(last - a)
+        v(a) += ax * tx + ay * ty
+        var b = 0
+        while (b < k) { m(a)(b) += ax * xs(last - b) + ay * ys(last - b); b += 1 }
+        a += 1
+      }
+      rows += 1
+    }
+
+    /** P, with 1e-8 added to the diagonal; consumes the sums. */
+    def solve(): Array[Double] = {
+      var d = 0
+      while (d < k) { m(d)(d) += 1e-8; d += 1 }
+      Predictor.solve(m, v)
+    }
+  }
+
+  /** `arFeatures` of the series (xs(from + t), ys(from + t)), t < n: the
+    * last `window` samples are fitted on their k predecessors, in t order. */
+  def arFeatures(xs: Array[Double], ys: Array[Double], from: Int, n: Int, k: Int, window: Int
+                ): Array[Double] = {
+    if (n < k + 2) return new Array[Double](k)
+    val eq = new NormalEquations(k)
+    var t = math.max(k, n - window)
+    while (t < n) { eq.add(xs, ys, from + t - 1, xs(from + t), ys(from + t)); t += 1 }
+    eq.solve()
   }
 }
