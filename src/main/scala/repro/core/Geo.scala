@@ -16,11 +16,25 @@ object Geo {
   def toDegrees(m: Double): Double = m / MetersPerDegree
 }
 
-/** Small integer-math helpers shared by size accounting. */
+/** Small integer-math helpers shared by size accounting and grouping. */
 object MathUtil {
   /** Bits needed to address `v` distinct values (min 1). */
   def ceilLog2(v: Int): Int =
     if (v <= 2) 1 else 32 - Integer.numberOfLeadingZeros(v - 1)
+
+  /** Stable counting sort of 0 until keys.length by key (keys in 0 until m):
+    * bucket b holds idx(start(b) until start(b + 1)), in increasing order. */
+  private[core] def buckets(keys: Array[Int], m: Int): (Array[Int], Array[Int]) = {
+    val start = new Array[Int](m + 1)
+    keys.foreach(k => start(k + 1) += 1)
+    var b = 0
+    while (b < m) { start(b + 1) += start(b); b += 1 }
+    val fill = start.clone
+    val idx = new Array[Int](keys.length)
+    var i = 0
+    while (i < keys.length) { idx(fill(keys(i))) = i; fill(keys(i)) += 1; i += 1 }
+    (start, idx)
+  }
 }
 
 /** Half-open axis-aligned rectangle [x0,x1) × [y0,y1). */

@@ -104,6 +104,7 @@ object Partitioner {
 final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
   import IncrementalPartitioner.Growth
   import KMeans.dist
+  import MathUtil.buckets
 
   // The partition of each trajectory slot, -1 before its first update.
   // `update` numbers the slots in `trajSlots`; the frontend passes its own.
@@ -143,20 +144,6 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
     var i = 0
     while (i < dim) { c(i) /= count; i += 1 }
     c
-  }
-
-  /** Stable counting sort of 0 until keys.length by key (keys in 0 until m):
-    * bucket b holds idx(start(b) until start(b + 1)), in increasing order. */
-  private def buckets(keys: Array[Int], m: Int): (Array[Int], Array[Int]) = {
-    val start = new Array[Int](m + 1)
-    keys.foreach(k => start(k + 1) += 1)
-    var b = 0
-    while (b < m) { start(b + 1) += start(b); b += 1 }
-    val fill = start.clone
-    val idx = new Array[Int](keys.length)
-    var i = 0
-    while (i < keys.length) { idx(fill(keys(i))) = i; fill(keys(i)) += 1; i += 1 }
-    (start, idx)
   }
 
   /** Whether vecs(idx(j)), j in [from, until), are finite and pairwise at

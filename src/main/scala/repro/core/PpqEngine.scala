@@ -41,30 +41,10 @@ final case class CodedPoint(
     recon: Pt, refined: Pt) extends Serializable
 
 /** Per-timestamp slice of the summary needed for decoding: the prediction
-  * coefficients of each partition present at t. Each point's partition
-  * travels in its `CodedPoint.part`. */
-final case class StepSummary(t: Int, coeffs: Map[Int, Array[Double]])
-
-/** A step's coefficients as a read-only map from partition id to P: the
-  * ids sorted in `parts`, the P of parts(i) at coeffs(i). `get` binary-
-  * searches the id; `iterator` walks the ids in increasing order.
-  * `updated` and `removed` copy the entries into a plain `Map`. */
-final class PartCoeffs private[core] (parts: Array[Int], coeffs: Array[Array[Double]])
-    extends immutable.AbstractMap[Int, Array[Double]] with Serializable {
-
-  def get(part: Int): Option[Array[Double]] = {
-    val at = java.util.Arrays.binarySearch(parts, part)
-    if (at < 0) None else Some(coeffs(at))
-  }
-
-  def iterator: Iterator[(Int, Array[Double])] = parts.indices.iterator.map(i => (parts(i), coeffs(i)))
-
-  override def size: Int = parts.length
-  override def knownSize: Int = parts.length
-
-  def updated[V1 >: Array[Double]](key: Int, value: V1): Map[Int, V1] = Map.from(this).updated(key, value)
-  def removed(key: Int): Map[Int, Array[Double]] = Map.from(this).removed(key)
-}
+  * coefficients P_j[t] of each partition present at t, the partition ids
+  * strictly increasing in `parts` and the P (length k) of parts(i) at
+  * coeffs(i). Each point's partition travels in its `CodedPoint.part`. */
+final case class StepSummary(t: Int, parts: Array[Int], coeffs: Array[Array[Double]])
 
 /** How the encoder builds its codebook C. Alg. 1 grows one error-bounded
   * codebook over the whole stream; the equal-budget protocol of Tables 2–4
@@ -116,28 +96,22 @@ private[core] final class TrajWindow(cap: Int) {
   * rule over them: Eq. 2 predicts from the reconstructions T̂, never from
   * the raw points. The encoder's frontend and the decoder each keep one
   * and feed it the same reconstructions, so both predict the same point.
-  * Both address trajectories by the slots of their own `SlotTable`; the
-  * id methods number slots the same way, in a table of their own. */
-final class ReconHistory(params: PpqParams) {
-  private[core] val window = new TrajWindow(params.k)
-  private lazy val slots = new SlotTable
+  * Both address trajectories by the slots of their own `SlotTable`. */
+private[core] final class ReconHistory(params: PpqParams) {
+  val window = new TrajWindow(params.k)
 
   /** Index in `window.xs` of the most recent of the k reconstructed points
     * at `slot`, or -1 while fewer than k are known. */
-  private[core] def newest(slot: Int): Int =
+  def newest(slot: Int): Int =
     if (window.length(slot) < params.k) -1 else window.start(slot) + params.k - 1
 
-  /** P_j[t] applied to the last k reconstructed points of `id`, or 0
-    * while fewer than k are known (t ≤ k in Alg. 1). */
-  def predict(coeffs: Array[Double], id: Int): Pt = predictFrom(coeffs, newest(slots.slotOrAdd(id)))
-
-  /** `predict` for the trajectory whose `newest` index is `last`. */
-  private[core] def predictFrom(coeffs: Array[Double], last: Int): Pt =
+  /** P_j[t] applied to the last k reconstructed points of the trajectory
+    * whose `newest` index is `last`, or 0 while fewer than k are known
+    * (t ≤ k in Alg. 1). */
+  def predict(coeffs: Array[Double], last: Int): Pt =
     if (last < 0) Pt(0.0, 0.0) else Predictor.predict(coeffs, window.xs, window.ys, last)
 
-  def add(id: Int, recon: Pt): Unit = addAt(slots.slotOrAdd(id), recon)
-
-  private[core] def addAt(slot: Int, recon: Pt): Unit = window.add(slot, recon)
+  def add(slot: Int, recon: Pt): Unit = window.add(slot, recon)
 }
 
 /** The shared predictive front half of PPQ: incremental partitioning,
@@ -212,12 +186,12 @@ final class PredictiveFrontend(val params: PpqParams) {
       j = from
       while (j < until) {
         i = byPart(j).toInt
-        preds(i) = history.predictFrom(c, last(i))
+        preds(i) = history.predict(c, last(i))
         j += 1
       }
       from = until
     }
-    Plan(assign, new PartCoeffs(java.util.Arrays.copyOf(parts, np), java.util.Arrays.copyOf(coeffs, np)), preds)
+    Plan(assign, java.util.Arrays.copyOf(parts, np), java.util.Arrays.copyOf(coeffs, np), preds)
   }
 
   /** Record this step's codebook reconstructions — they drive the next
@@ -227,7 +201,7 @@ final class PredictiveFrontend(val params: PpqParams) {
     val slots = if (points eq planned) plannedSlots else slotsOf(points)
     var i = 0
     while (i < points.length) {
-      history.addAt(slots(i), recons(i))
+      history.add(slots(i), recons(i))
       if (keepRaw) raw.add(slots(i), points(i)._2)
       i += 1
     }
@@ -237,8 +211,10 @@ final class PredictiveFrontend(val params: PpqParams) {
 object PredictiveFrontend {
   private[core] val ArWindow = 12 // raw points per trajectory the AR features are fitted over
 
-  final case class Plan(assign: Array[Int], coeffs: Map[Int, Array[Double]], preds: Array[Pt]) {
-    def numParts: Int = coeffs.size
+  /** A step's partition of each point, the partitions present (strictly
+    * increasing) with their P at the same index, and each point's prediction. */
+  final case class Plan(assign: Array[Int], parts: Array[Int], coeffs: Array[Array[Double]], preds: Array[Pt]) {
+    def numParts: Int = parts.length
   }
 }
 
@@ -308,7 +284,7 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
     nPoints += n
     assignBitsTotal += n.toLong * MathUtil.ceilLog2(math.max(plan.numParts, 2))
     if (policy == CodebookPolicy.Global)
-      steps += StepSummary(t, plan.coeffs)
+      steps += StepSummary(t, plan.parts, plan.coeffs)
     out
   }
 
@@ -336,7 +312,7 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
     cb.size.toLong * 2 * 64 +
       nPoints * MathUtil.ceilLog2(math.max(cb.size, 2)) +
       cqcBitsTotal +
-      steps.iterator.map(s => s.coeffs.size.toLong * params.k * 64).sum +
+      steps.iterator.map(s => s.parts.length.toLong * params.k * 64).sum +
       assignBitsTotal
   }
 
@@ -351,10 +327,12 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
   * One stable counting sort groups the codes by step, keeping their input
   * order within a step; the steps are replayed in increasing t through a
   * `ReconHistory`, and the refined points land in per-trajectory columns
-  * (DESIGN.md §7.5). Codes whose t has no `StepSummary` are dropped. A
-  * code whose partition has no coefficients at its t, whose b is outside
-  * the codebook, or whose (trajId, t) repeats an earlier code, and two
-  * summaries for one t, throw an `IllegalArgumentException`. */
+  * (DESIGN.md §7.5). Codes whose t has no `StepSummary` are dropped. Two
+  * summaries for one t, a summary whose parts are not strictly increasing,
+  * whose coefficient count differs from its parts' or whose P is not of
+  * length k, and a code whose partition has no coefficients at its t,
+  * whose b is outside the codebook, or whose (trajId, t) repeats an
+  * earlier code throw an `IllegalArgumentException`. */
 object PpqDecoder {
   def reconstruct(params: PpqParams, codewords: IndexedSeq[Pt],
                   steps: Seq[StepSummary], codes: Seq[CodedPoint]): Map[(Int, Int), Pt] = {
@@ -363,27 +341,37 @@ object PpqDecoder {
     val wy = codewords.iterator.map(_.y).toArray
     val ss = steps.toArray.sortBy(_.t)
     val stepTs = ss.map(_.t)
-    var si = 1
+    var si = 0
     while (si < ss.length) {
-      require(stepTs(si) != stepTs(si - 1), s"two step summaries for t=${stepTs(si)}")
+      val StepSummary(t, parts, coeffs) = ss(si)
+      require(si == 0 || t != stepTs(si - 1), s"two step summaries for t=$t")
+      require(coeffs.length == parts.length,
+        s"the step summary for t=$t has ${coeffs.length} coefficient vectors for ${parts.length} partitions")
+      var j = 0
+      while (j < parts.length) {
+        require(j == 0 || parts(j) > parts(j - 1),
+          s"the partitions of the step summary for t=$t are not strictly increasing")
+        require(coeffs(j).length == params.k,
+          s"partition ${parts(j)} at t=$t has ${coeffs(j).length} coefficients, not k = ${params.k}")
+        j += 1
+      }
       si += 1
     }
     val cs = codes.toArray
     val n = cs.length
 
-    // Count the codes of each step (bucket(s + 1)) and of each trajectory.
-    val stepOf = new Array[Int](n) // index in `ss`, negative for a code with no step
+    // Each code's bucket, 1 + its step's index in `ss` or 0 for a code with
+    // no step, and each trajectory's code count.
+    val stepOf = new Array[Int](n)
     val slotOf = new Array[Int](n)
-    val bucket = new Array[Int](ss.length + 1)
     val trajs = new SlotTable
     var ids = new Array[Int](16)
     var perTraj = new Array[Int](16)
     var i = 0
     while (i < n) {
       val s = java.util.Arrays.binarySearch(stepTs, cs(i).t)
-      stepOf(i) = s
       if (s >= 0) {
-        bucket(s + 1) += 1
+        stepOf(i) = s + 1
         val slot = trajs.slotOrAdd(cs(i).trajId.toLong)
         if (slot == ids.length) {
           ids = java.util.Arrays.copyOf(ids, 2 * slot); perTraj = java.util.Arrays.copyOf(perTraj, 2 * slot)
@@ -394,42 +382,26 @@ object PpqDecoder {
       }
       i += 1
     }
-    si = 0
-    while (si < ss.length) { bucket(si + 1) += bucket(si); si += 1 }
-    val order = new Array[Int](bucket(ss.length)) // code indices, by step, in input order within one
-    val next = java.util.Arrays.copyOf(bucket, ss.length)
-    i = 0
-    while (i < n) {
-      val s = stepOf(i)
-      if (s >= 0) { order(next(s)) = i; next(s) += 1 }
-      i += 1
-    }
+    // Step si's codes are order(bucket(si + 1) until bucket(si + 2)), in input order.
+    val (bucket, order) = MathUtil.buckets(stepOf, ss.length + 1)
     // Trajectory slot j owns the run starts(j) until starts(j + 1) of the columns.
     val nTrajs = trajs.size
     val starts = new Array[Int](nTrajs + 1)
     var j = 0
     while (j < nTrajs) { starts(j + 1) = starts(j) + perTraj(j); j += 1 }
     val cursor = java.util.Arrays.copyOf(starts, nTrajs)
-    val ts = new Array[Int](order.length)
-    val xs = new Array[Double](order.length)
-    val ys = new Array[Double](order.length)
+    val ts = new Array[Int](starts(nTrajs))
+    val xs = new Array[Double](ts.length)
+    val ys = new Array[Double](ts.length)
 
     val history = new ReconHistory(params)
-    val parts = new SlotTable
-    var partCoeffs = new Array[Array[Double]](16)
     si = 0
     while (si < ss.length) {
-      val t = stepTs(si)
-      parts.clear()
-      ss(si).coeffs.foreach { case (part, c) =>
-        val slot = parts.slotOrAdd(part.toLong)
-        if (slot == partCoeffs.length) partCoeffs = java.util.Arrays.copyOf(partCoeffs, 2 * slot)
-        partCoeffs(slot) = c
-      }
-      var o = bucket(si)
-      while (o < bucket(si + 1)) {
+      val StepSummary(t, parts, coeffs) = ss(si)
+      var o = bucket(si + 1)
+      while (o < bucket(si + 2)) {
         val cp = cs(order(o))
-        val part = parts.slot(cp.part.toLong)
+        val part = indexOf(parts, cp.part)
         if (part < 0)
           throw new IllegalArgumentException(
             s"code (${cp.trajId}, $t) names partition ${cp.part}, which has no coefficients at t=$t")
@@ -437,13 +409,13 @@ object PpqDecoder {
           throw new IllegalArgumentException(
             s"code (${cp.trajId}, $t) names codeword ${cp.b} of a codebook of ${wx.length}")
         val slot = slotOf(order(o))
-        val pred = history.predictFrom(partCoeffs(part), history.newest(slot))
+        val pred = history.predict(coeffs(part), history.newest(slot))
         val recon = Pt(pred.x + wx(cp.b), pred.y + wy(cp.b))
         val refined = qt match {
           case Some(q) => Cqc.refine(recon, CqcCode(cp.cqcBits, cp.cqcLen), params.eps1, params.gs.get, q)
           case None => recon
         }
-        history.addAt(slot, recon)
+        history.add(slot, recon)
         val at = cursor(slot)
         if (at > starts(slot) && ts(at - 1) == t)
           throw new IllegalArgumentException(s"two codes for (${cp.trajId}, $t)")
@@ -454,6 +426,16 @@ object PpqDecoder {
       si += 1
     }
     new DecodedPoints(trajs, java.util.Arrays.copyOf(ids, nTrajs), starts, ts, xs, ys)
+  }
+
+  /** Index of `key` in the strictly increasing `parts`, or -1. The halving
+    * step has no branch, so the JIT can use a conditional move: codes come
+    * in no order of their partitions, and `Arrays.binarySearch`'s branches
+    * cost a quarter of porto-build's decode time (CHANGES.md). */
+  private def indexOf(parts: Array[Int], key: Int): Int = {
+    var at = 0; var n = parts.length
+    while (n > 1) { val half = n >>> 1; if (parts(at + half) <= key) at += half; n -= half }
+    if (n == 1 && parts(at) == key) at else -1
   }
 }
 

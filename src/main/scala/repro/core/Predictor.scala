@@ -45,7 +45,9 @@ object Predictor {
   }
 
   /** The ridge-regularised normal equations of the least-squares fit of
-    * P (length k), summed one sample at a time: a sample's history is k
+    * P (length k) minimising Σ_i ||target(i) − Σ_j P(j)·h_i(j)||₂²; the
+    * ridge (1e-8 on the diagonal) keeps near-collinear histories stable.
+    * They are summed one sample at a time: a sample's history is k
     * points, most recent first, read backwards from index `last` of
     * coordinate arrays, so a window buffer feeds them without copying.
     * Only the upper triangle is summed; `solve` mirrors it (DESIGN.md
@@ -100,30 +102,8 @@ object Predictor {
     }
   }
 
-  /** Least-squares coefficients P (length k) minimising
-    * Σ_i ||target(i) − Σ_j P(j)·hist(i)(j)||₂² where hist(i)(j) is the j-th
-    * most recent reconstructed point of sample i. Ridge-regularised normal
-    * equations (1e-8 on the diagonal) keep near-collinear histories stable. */
-  def fit(hist: Array[Array[Pt]], target: Array[Pt], k: Int): Array[Double] = {
-    val eq = new NormalEquations(k)
-    val xs = new Array[Double](k); val ys = new Array[Double](k)
-    var i = 0
-    while (i < target.length) {
-      var a = 0
-      while (a < k) { xs(k - 1 - a) = hist(i)(a).x; ys(k - 1 - a) = hist(i)(a).y; a += 1 }
-      eq.add(xs, ys, k - 1, target(i).x, target(i).y)
-      i += 1
-    }
-    eq.solve()
-  }
-
-  /** Σ_j P(j)·hist(j), hist most recent first. */
-  def predict(coeffs: Array[Double], hist: Array[Pt]): Pt = {
-    val k = coeffs.length
-    predict(coeffs, Array.tabulate(k)(j => hist(k - 1 - j).x), Array.tabulate(k)(j => hist(k - 1 - j).y), k - 1)
-  }
-
-  /** `predict` over the history (xs(last - j), ys(last - j)), j < k. */
+  /** Σ_j P(j)·h(j) over the history h(j) = (xs(last - j), ys(last - j)),
+    * j < k, most recent first. */
   private[core] def predict(coeffs: Array[Double], xs: Array[Double], ys: Array[Double], last: Int): Pt = {
     var px = 0.0; var py = 0.0
     var j = 0
@@ -131,18 +111,11 @@ object Predictor {
     Pt(px, py)
   }
 
-  /** Lag-k AR(k) coefficients of one trajectory's recent window — the
-    * autocorrelation feature a_i^t used for partitioning (§3.2.1). Returns
-    * zeros until the trajectory has at least k+2 samples. */
-  def arFeatures(series: collection.IndexedSeq[Pt], k: Int, window: Int): Array[Double] = {
-    val n = series.length
-    val xs = Array.tabulate(n)(series(_).x); val ys = Array.tabulate(n)(series(_).y)
-    arFeatures(new NormalEquations(k), xs, ys, 0, n, window)
-  }
-
-  /** `arFeatures` of the series (xs(from + t), ys(from + t)), t < n, for
-    * k = `eq.k`, summed in `eq`: the last `window` samples are fitted on
-    * their k predecessors, in t order. */
+  /** Lag-k AR(k) coefficients, k = `eq.k`, of one trajectory's recent
+    * window (xs(from + t), ys(from + t)), t < n — the autocorrelation
+    * feature a_i^t used for partitioning (§3.2.1). The last `window`
+    * samples are fitted on their k predecessors, in t order, summed in
+    * `eq`. Returns zeros until the trajectory has at least k+2 samples. */
   private[core] def arFeatures(eq: NormalEquations, xs: Array[Double], ys: Array[Double], from: Int, n: Int,
                                window: Int): Array[Double] = {
     val k = eq.k

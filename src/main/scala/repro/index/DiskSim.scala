@@ -50,8 +50,6 @@ object DiskSim {
     }
 
     def pages(key: K): Seq[Int] = pagesOf.getOrElse(key, Seq.empty)
-    def numPages: Int = nextPage + 1
-    def sizeMB: Double = numPages.toDouble * pageBytes / 1e6
   }
 
   /** Scan cost model: touch every byte of each page once, so measured

@@ -185,13 +185,6 @@ object Pi {
     pi.insert(t, pts, cls)
   }
 
-  /** The regions and TRD baselines (a region's creation-time points per
-    * cell) of `build`'s index over pts. */
-  def buildRegions(pts: Array[(Int, Pt)], epsS: Double, gc: Double, seed: Long): Seq[(GridRegion, Double)] = {
-    val pi = build(0, pts, epsS, gc, seed)
-    pi.regions.toSeq.zip(pi.baseDensity)
-  }
-
   def build(t: Int, pts: Array[(Int, Pt)], epsS: Double, gc: Double, seed: Long = 23): PiIndex = {
     val pi = new PiIndex(gc)
     index(pi, t, pts, disjointRects(pts, epsS, seed), minCount = 0.0)

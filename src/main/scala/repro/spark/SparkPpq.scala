@@ -27,8 +27,7 @@ import scala.reflect.ClassTag
   * The summary is a Dataset with one row per point: its group, partition,
   * codeword index and CQC code, and the refined reconstruction (`xr`,
   * `yr`). Exact STRQ filters it to the query's candidate box and joins the
-  * candidates back to the raw points (the paper's refinement step); TPQ
-  * reads the candidates' refined points straight off it.
+  * candidates back to the raw points (the paper's refinement step).
   */
 object SparkPpq {
 
@@ -209,11 +208,4 @@ object SparkPpq {
       .filter(floor((col("x") - originX) / gc) === cx && floor((col("y") - originY) / gc) === cy)
       .select(col("traj_id")).distinct()
   }
-
-  /** TPQ over the summary: the sub-trajectories of the candidate ids in
-    * (t, t+l], read straight off the indexed summary (Def. 5.3). */
-  def tpq(summary: DataFrame, candidates: DataFrame, t: Int, l: Int): DataFrame =
-    summary.join(candidates, "traj_id")
-      .filter(col("t") > t && col("t") <= t + l)
-      .select(col("traj_id"), col("t"), col("xr"), col("yr"))
 }

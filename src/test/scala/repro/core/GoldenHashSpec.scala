@@ -42,10 +42,10 @@ class GoldenHashSpec extends AnyFunSuite {
     enc.codebook.codewords.foreach(f.pt)
     f.long(enc.summaryBits)
     for (s <- enc.steps) {
-      f.long(s.t); f.long(s.coeffs.size)
+      f.long(s.t); f.long(s.parts.length)
       // each step's point→partition pairs, sorted, as the summary once stored them
       for ((id, part) <- codesAt(s.t).map(cp => (cp.trajId, cp.part)).sorted) { f.long(id); f.long(part) }
-      for ((part, cs) <- s.coeffs.toSeq.sortBy(_._1)) { f.long(part); cs.foreach(f.double) }
+      for ((part, cs) <- s.parts.zip(s.coeffs)) { f.long(part); cs.foreach(f.double) }
     }
     codesAt
   }
@@ -60,8 +60,10 @@ class GoldenHashSpec extends AnyFunSuite {
     val codesAt = encodeInto(f, data, params)
     val ip = new IncrementalPartitioner(params.epsP, params.seed)
     val ids = Array.range(0, data.numTrajs)
+    val xs = data.trajs.map(_.map(_.x)); val ys = data.trajs.map(_.map(_.y))
+    val eq = new Predictor.NormalEquations(params.k)
     for (t <- 1 to data.len) {
-      val feats = ids.map(i => Predictor.arFeatures((1 until t).map(data.point(i, _)), params.k, PredictiveFrontend.ArWindow))
+      val feats = ids.map(i => Predictor.arFeatures(eq, xs(i), ys(i), 0, t - 1, PredictiveFrontend.ArWindow))
       val parts = ip.update(ids, feats)
       assert(parts.sameElements(codesAt(t).map(_.part)), s"t=$t")
       f.long(ip.splits); f.long(ip.merges); f.long(ip.cappedSplits)
@@ -210,7 +212,8 @@ class GoldenHashSpec extends AnyFunSuite {
       () => {
         val f = new Fingerprint
         val pts = TrajGen.portoLike(800, 10, 8).pointsAt(10)
-        for ((region, density) <- Pi.buildRegions(pts, 0.02, porto.gcDeg, seed = 23)) {
+        val pi = Pi.build(0, pts, 0.02, porto.gcDeg, seed = 23)
+        for ((region, density) <- pi.regions.zip(pi.baseDensity)) {
           val r = region.rect
           f.double(r.x0); f.double(r.y0); f.double(r.x1); f.double(r.y1); f.double(density)
         }

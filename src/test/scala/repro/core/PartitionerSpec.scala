@@ -166,8 +166,10 @@ class PartitionerSpec extends AnyFunSuite {
     val params = EvalConfig.porto.params(PartitionMode.Autocorr, useCqc = true)
     val ip = new IncrementalPartitioner(params.epsP, params.seed)
     val ids = Array.range(0, data.numTrajs)
+    val xs = data.trajs.map(_.map(_.x)); val ys = data.trajs.map(_.map(_.y))
+    val eq = new Predictor.NormalEquations(params.k)
     for (t <- 1 to 5) {
-      val feats = ids.map(i => Predictor.arFeatures((1 until t).map(data.point(i, _)), params.k, PredictiveFrontend.ArWindow))
+      val feats = ids.map(i => Predictor.arFeatures(eq, xs(i), ys(i), 0, t - 1, PredictiveFrontend.ArWindow))
       ip.update(ids, feats)
       assert(ip.cappedSplits == (if (t < 5) 0 else 1), s"t=$t")
     }

@@ -98,6 +98,39 @@ class PpqEngineSpec extends AnyFunSuite {
     assert(e.getMessage.contains("t=5"), e.getMessage)
   }
 
+  /** The decoder's error on enc's summary with the step at t replaced by `bad` of it. */
+  private def badStep(enc: PpqEncoder, codes: Seq[CodedPoint], t: Int)(bad: StepSummary => StepSummary) =
+    intercept[IllegalArgumentException](decodeWith(enc, enc.steps.toSeq.map(s => if (s.t == t) bad(s) else s), codes))
+
+  test("decoder rejects a step summary whose partitions are not strictly increasing, naming t") {
+    val (_, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05))
+    val t = enc.steps.find(_.parts.length >= 2).get.t
+    for (bad <- Seq((s: StepSummary) => s.copy(parts = s.parts.reverse, coeffs = s.coeffs.reverse),
+                    (s: StepSummary) => s.copy(parts = s.parts.updated(1, s.parts(0))))) {
+      val e = badStep(enc, codes, t)(bad)
+      assert(e.getMessage.contains(s"t=$t ") && e.getMessage.contains("strictly increasing"), e.getMessage)
+    }
+  }
+
+  test("decoder rejects a step summary whose coefficient count differs from its partitions', naming t") {
+    val (_, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Spatial, epsP = 0.05))
+    for (bad <- Seq((s: StepSummary) => s.copy(coeffs = s.coeffs.init),
+                    (s: StepSummary) => s.copy(coeffs = s.coeffs :+ s.coeffs(0)))) {
+      val e = badStep(enc, codes, 7)(bad)
+      assert(e.getMessage.contains("t=7 ") && e.getMessage.contains("coefficient vectors"), e.getMessage)
+    }
+  }
+
+  // Before this check a longer P read before the history window and a
+  // shorter one decoded most of the points wrong without an error.
+  test("decoder rejects a coefficient vector longer or shorter than k, naming t") {
+    val (_, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Single, gs = None))
+    for (bad <- Seq((c: Array[Double]) => c :+ 0.0, (c: Array[Double]) => c.init)) {
+      val e = badStep(enc, codes, 6)(s => s.copy(coeffs = s.coeffs.updated(0, bad(s.coeffs(0)))))
+      assert(e.getMessage.contains("t=6 ") && e.getMessage.contains(s"not k = ${enc.params.k}"), e.getMessage)
+    }
+  }
+
   test("the decoded view answers get, contains and iterator; updates copy it into a plain Map") {
     val (data, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Autocorr, epsP = 0.05))
     val decoded = decodeWith(enc, enc.steps.toSeq, codes)
@@ -143,9 +176,9 @@ class PpqEngineSpec extends AnyFunSuite {
   test("steps record one summary per timestamp with coefficients for every used partition") {
     val (data, enc, codes) = runEncoder(PpqParams(mode = PartitionMode.Spatial, epsP = 0.05))
     assert(enc.steps.map(_.t).toSeq == (1 to data.len))
-    for (cp <- codes) assert(enc.steps(cp.t - 1).coeffs.contains(cp.part))
+    for (cp <- codes) assert(enc.steps(cp.t - 1).parts.contains(cp.part))
     val partsAt = codes.groupBy(_.t).map { case (t, cs) => t -> cs.map(_.part).distinct.size }
-    for (s <- enc.steps) assert(s.coeffs.size == partsAt(s.t), s"t=${s.t}")
+    for (s <- enc.steps) assert(s.parts.length == partsAt(s.t) && s.coeffs.length == partsAt(s.t), s"t=${s.t}")
   }
 
   test("t <= k points are quantized with zero prediction (Alg. 1)") {
@@ -172,7 +205,7 @@ class PpqEngineSpec extends AnyFunSuite {
     val data = TrajGen.geolifeLike(n = 30, len = 40, seed = 11)
     val enc = new PpqEncoder(PpqParams(mode = PartitionMode.Autocorr, epsP = 0.01, gs = None))
     for (t <- 1 to data.len) enc.step(t, data.pointsAt(t))
-    assert(enc.steps.map(_.coeffs.size).max > 1)
+    assert(enc.steps.map(_.parts.length).max > 1)
   }
 
   test("spatial mode tracks moving partitions without unbounded growth") {
@@ -180,7 +213,7 @@ class PpqEngineSpec extends AnyFunSuite {
     val enc = new PpqEncoder(PpqParams(mode = PartitionMode.Spatial, epsP = 0.05, gs = None))
     for (t <- 1 to data.len) enc.step(t, data.pointsAt(t))
     assert(enc.numPartitions <= data.numTrajs)
-    assert(enc.steps.last.coeffs.size >= 1)
+    assert(enc.steps.last.parts.length >= 1)
   }
 
   /** `data`'s points at t, with trajectory 1's point replaced by `bad`. */

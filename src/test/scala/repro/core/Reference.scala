@@ -10,8 +10,10 @@ import scala.collection.mutable
 // verbatim as they were before the grid merge search and the primitive
 // cell table replaced them; then the PI with boxed-tuple posting keys, kept
 // verbatim as it was before the primitive postings replaced it; then the
-// map-based summary decoder, kept verbatim as it was before the flat replay
-// replaced it; then the fresh full k×k normal equations and the AR features
+// map-based summary decoder, as it was before the flat replay replaced it
+// but with a history of its own (per-id lists, not the shared
+// `ReconHistory` ring), so it also checks the history the encoder and the
+// flat decoder share; then the fresh full k×k normal equations and the AR features
 // over them, kept verbatim as they were before the reused upper-triangle
 // buffers replaced them. The incremental partitioner also counts capped
 // splits and shows its live centroids, as the main one does. The
@@ -423,21 +425,27 @@ final class ReferencePiIndex(val gc: Double) {
 
 /** Reconstructs every trajectory point from the summary alone — the check
   * that ({P_j[t]}, C, {b_i^t}, CQC) "are enough to reproduce any
-  * trajectory" (§5). Uses only (trajId, t, part, b, cqc) from the codes. */
+  * trajectory" (§5). Uses only (trajId, t, part, b, cqc) from the codes.
+  * Each id's last k codebook reconstructions are a list, oldest first. */
 object ReferenceDecoder {
   def reconstruct(params: PpqParams, codewords: IndexedSeq[Pt],
                   steps: Seq[StepSummary], codes: Seq[CodedPoint]): Map[(Int, Int), Pt] = {
     val qt = params.gs.map(g => new CoordinateQuadtree(Cqc.sideFor(params.eps1, g)))
     val byT = codes.groupBy(_.t)
-    val history = new ReconHistory(params)
+    val history = mutable.HashMap.empty[Int, List[Pt]]
     val out = mutable.HashMap.empty[(Int, Int), Pt]
     for (s <- steps.sortBy(_.t); cp <- byT.getOrElse(s.t, Seq.empty)) {
-      val recon = history.predict(s.coeffs(cp.part), cp.trajId) + codewords(cp.b)
+      val hist = history.getOrElse(cp.trajId, Nil)
+      val coeffs = s.coeffs(s.parts.indexOf(cp.part))
+      val pred =
+        if (hist.length < params.k) Pt(0.0, 0.0)
+        else Predictor.predict(coeffs, hist.map(_.x).toArray, hist.map(_.y).toArray, params.k - 1)
+      val recon = pred + codewords(cp.b)
       val refined = qt match {
         case Some(q) => Cqc.refine(recon, CqcCode(cp.cqcBits, cp.cqcLen), params.eps1, params.gs.get, q)
         case None => recon
       }
-      history.add(cp.trajId, recon)
+      history(cp.trajId) = (hist :+ recon).takeRight(params.k)
       out((cp.trajId, cp.t)) = refined
     }
     out.toMap

@@ -147,23 +147,6 @@ class SparkPpqSpec extends SparkSpec {
       "pts" -> rawDf)
   }
 
-  test("TPQ returns the sub-trajectories of the candidate ids") {
-    val q = Queries.sampleQueries(data, 1, seed = 4).head.copy(t = 5)
-    val radius = math.sqrt(2.0) / 2.0 * params.gs.get
-    val cands = SparkPpq.strqExact(summary.toDF(), rawDf, q.x, q.y, q.t, gc,
-      data.bbox.x0, data.bbox.y0, radius)
-    val l = 10
-    val path = SparkPpq.tpq(summary.toDF(), cands, q.t, l).collect()
-    val nCands = cands.count()
-    assert(path.length == nCands * math.min(l, data.len - q.t))
-    // every returned point is within the CQC bound of the raw position
-    for (r <- path) {
-      val id = r.getInt(0); val t = r.getInt(1)
-      val d = Pt(r.getDouble(2), r.getDouble(3)).dist(data.point(id, t))
-      assert(d <= math.sqrt(2.0) / 2.0 * params.gs.get + 1e-12)
-    }
-  }
-
   test("summary rows carry valid partition and codeword indices") {
     val rows = summary.collect()
     assert(rows.forall(_.b >= 0))
