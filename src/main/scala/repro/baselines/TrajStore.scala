@@ -81,6 +81,9 @@ object TrajStoreQuant {
     (recon.toMap, words)
   }
 
+  /** Bits of a `summarizeBounded` summary: `words` codewords, one index per point. */
+  def summaryBits(words: Int, nPoints: Long): Long = words.toLong * 128 + nPoints * MathUtil.ceilLog2(math.max(words, 2))
+
   /** Table 2 protocol: distribute a total codeword budget v over leaves
     * proportionally to the number of this timestamp's points they hold,
     * then k-means each leaf's points with its share. */

@@ -24,7 +24,7 @@ object MathUtil {
 
   /** Stable counting sort of 0 until keys.length by key (keys in 0 until m):
     * bucket b holds idx(start(b) until start(b + 1)), in increasing order. */
-  private[core] def buckets(keys: Array[Int], m: Int): (Array[Int], Array[Int]) = {
+  private[repro] def buckets(keys: Array[Int], m: Int): (Array[Int], Array[Int]) = {
     val start = new Array[Int](m + 1)
     keys.foreach(k => start(k + 1) += 1)
     var b = 0

@@ -107,8 +107,6 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
   import MathUtil.buckets
 
   // The partition of each trajectory slot, -1 before its first update.
-  // `update` numbers the slots in `trajSlots`; the frontend passes its own.
-  private lazy val trajSlots = new SlotTable
   private var partOf = Array.fill(16)(-1)
   // Partitions alive after the last update: ids and centroids by slot, and
   // the slot of each id.
@@ -169,14 +167,10 @@ final class IncrementalPartitioner(epsP: Double, seed: Long = 13) {
     best
   }
 
-  /** Assign each (id, vec) to a partition; returns partition ids aligned
-    * with the input order. */
-  def update(ids: Array[Int], vecs: Array[Array[Double]]): Array[Int] =
-    updateSlots(Array.tabulate(ids.length)(i => trajSlots.slotOrAdd(ids(i))), vecs)
-
-  /** `update` for the trajectories at `slots`: dense indices that stand
-    * for the ids one to one, as a `SlotTable` numbers them. */
-  private[core] def updateSlots(slots: Array[Int], vecs: Array[Array[Double]]): Array[Int] = {
+  /** Assign the trajectory at each slot, a dense index 0 or more that
+    * stands for one trajectory (as a `SlotTable` numbers them), to a
+    * partition; returns partition ids aligned with the input order. */
+  def update(slots: Array[Int], vecs: Array[Array[Double]]): Array[Int] = {
     round += 1
     require(slots.length == vecs.length)
     if (slots.isEmpty) return Array.empty

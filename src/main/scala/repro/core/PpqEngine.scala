@@ -133,23 +133,18 @@ final class PredictiveFrontend(val params: PpqParams) {
 
   def numPartitions: Int = partitioner.numPartitions
 
-  private def slotsOf(points: Array[(Int, Pt)]): Array[Int] = {
-    val slots = new Array[Int](points.length)
-    var i = 0
-    while (i < points.length) { slots(i) = trajs.slotOrAdd(points(i)._1); i += 1 }
-    slots
-  }
-
   def plan(t: Int, points: Array[(Int, Pt)]): Plan = {
     val n = points.length
-    val slots = slotsOf(points)
+    val slots = new Array[Int](n)
+    var i = 0
+    while (i < n) { slots(i) = trajs.slotOrAdd(points(i)._1); i += 1 }
     planned = points; plannedSlots = slots
     val assign: Array[Int] = params.mode match {
       case PartitionMode.Single => new Array[Int](n)
       case PartitionMode.Spatial =>
-        partitioner.updateSlots(slots, Array.tabulate(n) { i => val p = points(i)._2; Array(p.x, p.y) })
+        partitioner.update(slots, Array.tabulate(n) { i => val p = points(i)._2; Array(p.x, p.y) })
       case PartitionMode.Autocorr =>
-        partitioner.updateSlots(slots, Array.tabulate(n) { i =>
+        partitioner.update(slots, Array.tabulate(n) { i =>
           val s = slots(i)
           Predictor.arFeatures(eq, raw.xs, raw.ys, raw.start(s), raw.length(s), ArWindow)
         })
@@ -158,7 +153,7 @@ final class PredictiveFrontend(val params: PpqParams) {
     // group: the least-squares sums run in that order, and the partitions
     // in increasing id.
     val byPart = new Array[Long](n)
-    var i = 0
+    i = 0
     while (i < n) { byPart(i) = (assign(i).toLong << 32) | i; i += 1 }
     java.util.Arrays.sort(byPart)
     val last = new Array[Int](n) // each point's `history.newest`
@@ -196,13 +191,14 @@ final class PredictiveFrontend(val params: PpqParams) {
 
   /** Record this step's codebook reconstructions — they drive the next
     * step's prediction (Eq. 2 uses T̂) — and, under `Autocorr`, the raw
-    * points the AR features are computed from. */
+    * points the AR features are computed from. `points` must be the array
+    * the last `plan` was given. */
   def commit(points: Array[(Int, Pt)], recons: Array[Pt]): Unit = {
-    val slots = if (points eq planned) plannedSlots else slotsOf(points)
+    require(points eq planned, "commit takes the points array of the last plan")
     var i = 0
     while (i < points.length) {
-      history.add(slots(i), recons(i))
-      if (keepRaw) raw.add(slots(i), points(i)._2)
+      history.add(plannedSlots(i), recons(i))
+      if (keepRaw) raw.add(plannedSlots(i), points(i)._2)
       i += 1
     }
   }
@@ -315,9 +311,6 @@ final class PpqEncoder(val params: PpqParams, policy: CodebookPolicy = CodebookP
       steps.iterator.map(s => s.parts.length.toLong * params.k * 64).sum +
       assignBitsTotal
   }
-
-  /** raw bits (2×64 per point) over summary bits. */
-  def compressionRatio: Double = nPoints * 128.0 / summaryBits
 }
 
 /** Reconstructs every trajectory point from the summary alone — the check

@@ -44,28 +44,17 @@ object EvalConfig {
   * bounded run spent at that timestamp (§6.2.1). */
 object PerTimestep {
 
-  /** PPQ family, fresh error-bounded codebook per timestamp (Table 2). */
-  def runPpqBounded(name: String, data: TrajDataset, mode: PartitionMode,
-                    useCqc: Boolean, cfg: EvalConfig): MethodRun =
-    runPpq(name, data, mode, useCqc, CodebookPolicy.PerStep, cfg)
-
-  /** PPQ family with a fixed-size (k-means) error codebook per timestamp
-    * (Table 4's 5–9-bit protocol). */
-  def runPpqFixed(name: String, data: TrajDataset, mode: PartitionMode,
-                  useCqc: Boolean, v: Int, cfg: EvalConfig): MethodRun =
-    runPpq(name, data, mode, useCqc, CodebookPolicy.KMeansPerStep(v), cfg)
-
-  /** Steps one `PpqEncoder` under `policy` over the dataset and keeps the
+  /** Steps one `PpqEncoder` for PPQ row `m` under `policy` (Table 2's
+    * `PerStep`, Table 4's `KMeansPerStep`) over the dataset and keeps the
     * refined points; under `PerStep` also each timestamp's codebook size. */
-  private def runPpq(name: String, data: TrajDataset, mode: PartitionMode, useCqc: Boolean,
-                     policy: CodebookPolicy, cfg: EvalConfig): MethodRun = {
-    val enc = new PpqEncoder(cfg.params(mode, useCqc), policy)
+  def runPpq(m: Methods.Ppq, data: TrajDataset, policy: CodebookPolicy, cfg: EvalConfig): MethodRun = {
+    val enc = new PpqEncoder(cfg.params(m.mode, m.useCqc), policy)
     val vPerT = mutable.HashMap.empty[Int, Int]
-    val recon = reconstruct(name, data) { (t, trajs) =>
+    val recon = reconstruct(m.name, data) { (t, trajs) =>
       for (cp <- enc.step(t, data.pointsAt(t))) trajs(cp.trajId)(t - 1) = cp.refined
       if (policy == CodebookPolicy.PerStep) vPerT(t) = enc.codebook.size
     }
-    MethodRun(recon, vPerT.toMap, if (useCqc) Some(cfg.cqcRadiusDeg) else None)
+    MethodRun(recon, vPerT.toMap, if (m.useCqc) Some(cfg.cqcRadiusDeg) else None)
   }
 
   /** A baseline whose timestep t reconstruction is stepFn(points, v(t)). */
@@ -103,7 +92,7 @@ object PerTimestep {
   /** The full Table 2/3 method suite in the paper's row order; every
     * baseline gets the per-timestamp budget of the first row, PPQ-A. */
   def allBudgetMatched(data: TrajDataset, cfg: EvalConfig): Seq[MethodRun] = {
-    val ppq = Methods.ppq.map(m => runPpqBounded(m.name, data, m.mode, m.useCqc, cfg))
+    val ppq = Methods.ppq.map(runPpq(_, data, CodebookPolicy.PerStep, cfg))
     val budget: Int => Int = t => ppq.head.vPerT.getOrElse(t, 1)
     ppq ++ quantizerRuns(data, budget, cfg) :+ runTrajStore(Methods.TrajStore.name, data, budget, cfg)
   }
@@ -111,7 +100,7 @@ object PerTimestep {
   /** The Table 4 suite (no TrajStore, fixed 2^bits codewords per timestamp). */
   def allFixedBits(data: TrajDataset, bits: Int, cfg: EvalConfig): Seq[MethodRun] = {
     val v = 1 << bits
-    Methods.ppq.map(m => runPpqFixed(m.name, data, m.mode, m.useCqc, v, cfg)) ++ quantizerRuns(data, _ => v, cfg)
+    Methods.ppq.map(runPpq(_, data, CodebookPolicy.KMeansPerStep(v), cfg)) ++ quantizerRuns(data, _ => v, cfg)
   }
 
   private def quantizerRuns(data: TrajDataset, vOf: Int => Int, cfg: EvalConfig): Seq[MethodRun] =

@@ -6,7 +6,7 @@ import repro.data.TrajDataset
 import repro.index._
 import repro.query._
 
-/** Plain-text table rendering shared by benches and jobs. */
+/** Plain-text table rendering shared by the bench suites. */
 object Render {
   def f(d: Double, dec: Int = 2): String = s"%.${dec}f".format(d)
 
@@ -68,8 +68,7 @@ object Table4 {
   final case class Cell(ratio: Double, maeM: Double)
   final case class Row(method: String, byBits: Seq[(Int, Cell)])
 
-  def run(data: TrajDataset, cfg: EvalConfig, bitsRange: Seq[Int] = Seq(5, 6, 7, 8, 9),
-          nQueries: Int = 100): Seq[Row] = {
+  def run(data: TrajDataset, cfg: EvalConfig, bitsRange: Seq[Int], nQueries: Int): Seq[Row] = {
     val qs = Queries.sampleQueries(data, nQueries, seed = 299) // fixed query sample
     val byBits = bitsRange.map { bits =>
       bits -> PerTimestep.allFixedBits(data, bits, cfg).map { r =>
@@ -115,7 +114,7 @@ object Table56 {
         val idx = new TrajStoreIndex(data.bbox, cfg.trajStoreLeaf)
         for (t <- 1 to data.len; (id, p) <- data.pointsAt(t)) idx.insert(id, t, p)
         val words = TrajStoreQuant.summarizeBounded(idx, devDeg)._2
-        () => (words, words.toLong * 128 + data.numPoints * MathUtil.ceilLog2(math.max(words, 2)))
+        () => (words, TrajStoreQuant.summaryBits(words, data.numPoints))
     }
     val sec = (System.nanoTime() - t0) / 1e9
     val (words, bits) = size()
@@ -217,7 +216,7 @@ object Table9 {
   }
 
   /** Queries are sorted by start time, as §6.5 does. */
-  def run(data: TrajDataset, cfg: EvalConfig, nQueries: Int = 2000): Seq[Row] = {
+  def run(data: TrajDataset, cfg: EvalConfig, nQueries: Int): Seq[Row] = {
     val queries = Queries.sampleQueries(data, nQueries, seed = 399)
       .map(q => (Pt(q.x, q.y), q.t)).sortBy(_._2)
     // The paper partitions ~10^5 points per timestamp, so spatial
@@ -305,7 +304,7 @@ object CompressionEval {
       def ppqRatio(name: String): Double = {
         val enc = new PpqEncoder(Methods.ppq.find(_.name == name).get.boundedParams(EvalConfig.porto, devDeg))
         for (t <- 1 to data.len) enc.step(t, data.pointsAt(t))
-        enc.compressionRatio
+        enc.nPoints * 128.0 / enc.summaryBits
       }
       Row(dev,
         Rest.compressionRatio(targets, refs, devDeg),

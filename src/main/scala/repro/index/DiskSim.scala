@@ -28,7 +28,9 @@ object DiskSim {
   val PageBytes: Int = 8 * 1024
   val BytesPerPoint: Int = 20
 
-  /** Page ids assigned sequentially to groups of points. */
+  /** Page ids assigned sequentially to groups of points. A group starts
+    * on the current page, or on the next one if the current one is full;
+    * an empty group still has the current page as its home page. */
   final class Layout[K](val pageBytes: Int) {
     private val pagesOf = mutable.HashMap.empty[K, Seq[Int]]
     private var nextPage = 0
@@ -36,17 +38,12 @@ object DiskSim {
 
     def add(key: K, numPoints: Int): Unit = {
       val bytes = numPoints.toLong * BytesPerPoint
-      val pages = mutable.ArrayBuffer.empty[Int]
-      var remaining = bytes
-      while (remaining > 0) {
-        if (fill >= pageBytes) { nextPage += 1; fill = 0 }
-        if (pages.isEmpty || pages.last != nextPage) pages += nextPage
-        val take = math.min(remaining, (pageBytes - fill).toLong)
-        fill += take.toInt
-        remaining -= take
-      }
-      if (pages.isEmpty) { pages += nextPage } // empty group still has a home page
-      pagesOf(key) = pages.toSeq
+      if (bytes > 0 && fill >= pageBytes) { nextPage += 1; fill = 0 }
+      val first = nextPage
+      val end = fill + bytes // from the start of page `first` to the group's last byte
+      nextPage = first + (math.max(end - 1, 0) / pageBytes).toInt
+      fill = (end - (nextPage - first).toLong * pageBytes).toInt
+      pagesOf(key) = first to nextPage
     }
 
     def pages(key: K): Seq[Int] = pagesOf.getOrElse(key, Seq.empty)

@@ -165,9 +165,9 @@ object Pi {
     if (pts.isEmpty) return kept
     val vecs = pts.map { case (_, p) => Array(p.x, p.y) }
     val res = Partitioner.partitionByThreshold(vecs, epsS, seed = seed)
-    val byPart = pts.indices.groupBy(res.assign(_))
-    for ((_, idxs) <- byPart.toSeq.sortBy(_._1))
-      kept ++= Rect.subtractAll(Rect.bounding(idxs.map(i => pts(i)._2)), kept)
+    val (start, idx) = MathUtil.buckets(res.assign, res.centroids.length)
+    for (g <- res.centroids.indices if start(g) < start(g + 1))
+      kept ++= Rect.subtractAll(Rect.bounding(idx.view.slice(start(g), start(g + 1)).map(pts(_)._2)), kept)
     kept
   }
 

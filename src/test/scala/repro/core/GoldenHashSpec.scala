@@ -5,7 +5,7 @@ import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{TrajDataset, TrajGen}
 import repro.baselines.{TrajStoreIndex, TrajStoreQuant}
-import repro.eval.{EvalConfig, MethodRun, PerTimestep, Table2, Table3, Table4, Table9}
+import repro.eval.{EvalConfig, MethodRun, Methods, PerTimestep, Table2, Table3, Table4, Table9}
 import repro.index.{Pi, TpiIndex}
 
 /** Pins the encoder's exact output for fixed seeds. Any change to
@@ -84,23 +84,15 @@ class GoldenHashSpec extends AnyFunSuite {
   private val porto = EvalConfig.porto
   private val geolife = EvalConfig.geolife
 
-  /** The five PPQ rows of Tables 2 and 4: partition mode and CQC on/off. */
-  private val ppqModes: Map[String, (PartitionMode, Boolean)] = Map(
-    "PPQ-A" -> (PartitionMode.Autocorr, true),
-    "PPQ-A-basic" -> (PartitionMode.Autocorr, false),
-    "PPQ-S" -> (PartitionMode.Spatial, true),
-    "PPQ-S-basic" -> (PartitionMode.Spatial, false),
-    "E-PQ" -> (PartitionMode.Single, false))
+  /** `PerTimestep.runPpq` for the PPQ row named `method` under `policy`. */
+  private def ppqRun(method: String, data: => TrajDataset, policy: CodebookPolicy, cfg: EvalConfig): () => String =
+    () => methodRun(PerTimestep.runPpq(Methods.ppq.find(_.name == method).get, data, policy, cfg))
 
-  private def bounded(method: String, data: => TrajDataset, cfg: EvalConfig): () => String = {
-    val (mode, cqc) = ppqModes(method)
-    () => methodRun(PerTimestep.runPpqBounded(method, data, mode, cqc, cfg))
-  }
+  private def bounded(method: String, data: => TrajDataset, cfg: EvalConfig): () => String =
+    ppqRun(method, data, CodebookPolicy.PerStep, cfg)
 
-  private def fixed(method: String, data: => TrajDataset, v: Int, cfg: EvalConfig): () => String = {
-    val (mode, cqc) = ppqModes(method)
-    () => methodRun(PerTimestep.runPpqFixed(method, data, mode, cqc, v, cfg))
-  }
+  private def fixed(method: String, data: => TrajDataset, v: Int, cfg: EvalConfig): () => String =
+    ppqRun(method, data, CodebookPolicy.KMeansPerStep(v), cfg)
 
   /** A TrajStore quadtree over a Porto-like stream with a small leaf cap,
     * plus points on the bbox's upper edges, which no child rect contains. */

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.index.{GridRegion, IdCodec}
+import repro.index.{DiskSim, GridRegion, IdCodec}
 import scala.collection.mutable
 
 // Reference implementations: the full-scan Lloyd loop, the round-capped
@@ -15,10 +15,11 @@ import scala.collection.mutable
 // `ReconHistory` ring), so it also checks the history the encoder and the
 // flat decoder share; then the fresh full k×k normal equations and the AR features
 // over them, kept verbatim as they were before the reused upper-triangle
-// buffers replaced them. The incremental partitioner also counts capped
-// splits and shows its live centroids, as the main one does. The
-// equivalence properties compare the main-source versions against these
-// bit for bit.
+// buffers replaced them; then Table 9's disk layout, which placed a group
+// page by page, kept verbatim as it was before the page ranges replaced it.
+// The incremental partitioner also counts capped splits and shows its live
+// centroids, as the main one does. The equivalence properties compare the
+// main-source versions against these bit for bit.
 
 object ReferenceKMeans {
 
@@ -500,4 +501,28 @@ object ReferencePredictor {
     while (t < n) { eq.add(xs, ys, from + t - 1, xs(from + t), ys(from + t)); t += 1 }
     eq.solve()
   }
+}
+
+/** Page ids assigned sequentially to groups of points. */
+final class ReferenceDiskLayout[K](val pageBytes: Int) {
+  private val pagesOf = mutable.HashMap.empty[K, Seq[Int]]
+  private var nextPage = 0
+  private var fill = 0 // bytes used on the current page
+
+  def add(key: K, numPoints: Int): Unit = {
+    val bytes = numPoints.toLong * DiskSim.BytesPerPoint
+    val pages = mutable.ArrayBuffer.empty[Int]
+    var remaining = bytes
+    while (remaining > 0) {
+      if (fill >= pageBytes) { nextPage += 1; fill = 0 }
+      if (pages.isEmpty || pages.last != nextPage) pages += nextPage
+      val take = math.min(remaining, (pageBytes - fill).toLong)
+      fill += take.toInt
+      remaining -= take
+    }
+    if (pages.isEmpty) { pages += nextPage } // empty group still has a home page
+    pagesOf(key) = pages.toSeq
+  }
+
+  def pages(key: K): Seq[Int] = pagesOf.getOrElse(key, Seq.empty)
 }
