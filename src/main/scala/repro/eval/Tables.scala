@@ -25,11 +25,11 @@ object Table2 {
 
   def evaluate(runs: Seq[MethodRun], data: TrajDataset, cfg: EvalConfig, nQueries: Int): Seq[Row] = {
     val qs = Queries.sampleQueries(data, nQueries, seed = 99) // fixed query sample
+    val truths = qs.map(Queries.groundTruth(data, _, cfg.gcDeg))
     runs.map { r =>
       val mae = Queries.maeMeters(r.recon, data)
       var ps = 0.0; var rs = 0.0
-      for (q <- qs) {
-        val truth = Queries.groundTruth(data, q, cfg.gcDeg)
+      for ((q, truth) <- qs.zip(truths)) {
         val returned = r.boundRadiusDeg match {
           case Some(rad) =>
             Queries.refineWithRaw(Queries.localSearchCandidates(r.recon, q, cfg.gcDeg, rad), data, q, cfg.gcDeg)
@@ -301,11 +301,8 @@ object CompressionEval {
     val data = TrajDataset("sub-porto", targets.toIndexedSeq, bbox)
     devsM.map { dev =>
       val devDeg = Geo.toDegrees(dev)
-      def ppqRatio(name: String): Double = {
-        val enc = new PpqEncoder(Methods.ppq.find(_.name == name).get.boundedParams(EvalConfig.porto, devDeg))
-        for (t <- 1 to data.len) enc.step(t, data.pointsAt(t))
-        enc.nPoints * 128.0 / enc.summaryBits
-      }
+      def ppqRatio(name: String): Double =
+        data.numPoints * 128.0 / Table56.runOne(name, data, dev, EvalConfig.porto).summaryBits
       Row(dev,
         Rest.compressionRatio(targets, refs, devDeg),
         Rest.compressionRatio(targets, coldRefs, devDeg),

@@ -5,7 +5,7 @@ import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.{TrajDataset, TrajGen}
 import repro.baselines.{TrajStoreIndex, TrajStoreQuant}
-import repro.eval.{EvalConfig, MethodRun, Methods, PerTimestep, Table2, Table3, Table4, Table9}
+import repro.eval.{CompressionEval, EvalConfig, MethodRun, Methods, PerTimestep, Table2, Table3, Table4, Table9}
 import repro.index.{Pi, TpiIndex}
 
 /** Pins the encoder's exact output for fixed seeds. Any change to
@@ -265,7 +265,16 @@ class GoldenHashSpec extends AnyFunSuite {
       },
       "94ebb21db970b169"),
     ("Tables 2, 3 and 4 (5, 6 bits) porto 200x20 seed 11 and geolife 100x30 seed 44", () => tables(),
-      "46005b99dc227ba5"))
+      "46005b99dc227ba5"),
+    ("CompressionEval.run sub-porto base 60 len 60 at 200 and 800 m",
+      () => {
+        val f = new Fingerprint
+        for (r <- CompressionEval.run(Seq(200.0, 800.0), base = 60, len = 60)) {
+          f.double(r.devM); f.double(r.restMatched); f.double(r.restCold); f.double(r.ppqABasic); f.double(r.ppqSBasic)
+        }
+        f.hex
+      },
+      "5446f8168c0ea9d0"))
 
   for ((name, run, expected) <- cases)
     test(s"golden hash: $name") {

@@ -16,7 +16,9 @@ import scala.collection.mutable
 // flat decoder share; then the fresh full k×k normal equations and the AR features
 // over them, kept verbatim as they were before the reused upper-triangle
 // buffers replaced them; then Table 9's disk layout, which placed a group
-// page by page, kept verbatim as it was before the page ranges replaced it.
+// page by page, kept verbatim as it was before the page ranges replaced it;
+// then the index size as the Huffman tree of the old bit-by-bit id codec
+// charged it, before the sum of merge weights replaced that codec.
 // The incremental partitioner also counts capped splits and shows its live
 // centroids, as the main one does. The equivalence properties compare the
 // main-source versions against these bit for bit.
@@ -525,4 +527,33 @@ final class ReferenceDiskLayout[K](val pageBytes: Int) {
   }
 
   def pages(key: K): Seq[Int] = pagesOf.getOrElse(key, Seq.empty)
+}
+
+/** The size of `IdCodec.indexBits` from the Huffman tree the bit-by-bit
+  * id codec built: leaves in symbol order, the two lightest nodes merged
+  * first with ties to the older node, a zero-weight pad beside a lone symbol,
+  * and symbol 0 in the table of an index with no symbols. Each symbol
+  * costs its depth. */
+object ReferenceIndexBits {
+  def indexBits(postings: Iterable[Array[Int]], rects: Int): Long = {
+    val rectBits = rects.toLong * 4 * 64
+    if (postings.isEmpty) return rectBits
+    val syms = postings.toSeq.map(p => p.indices.map(i => if (i == 0) p(0) else p(i) - p(i - 1)))
+    val freq = syms.flatten.groupMapReduce(identity)(_ => 1L)(_ + _)
+    val table = if (freq.isEmpty) Map(0 -> 1L) else freq
+    // A node is (weight, creation order, the symbols below it).
+    val nodes = mutable.PriorityQueue.empty[(Long, Int, Seq[Int])](
+      Ordering.by[(Long, Int, Seq[Int]), (Long, Int)](n => (n._1, n._2)).reverse)
+    for ((s, w) <- table.toSeq.sortBy(_._1)) nodes += ((w, nodes.size, Seq(s)))
+    if (nodes.size == 1) nodes += ((0L, 1, Seq.empty))
+    val depth = mutable.HashMap.empty[Int, Int].withDefaultValue(0)
+    var order = nodes.size
+    while (nodes.size > 1) {
+      val (wa, _, a) = nodes.dequeue()
+      val (wb, _, b) = nodes.dequeue()
+      (a ++ b).foreach(s => depth(s) += 1)
+      nodes += ((wa + wb, order, a ++ b)); order += 1
+    }
+    table.size * 40L + rectBits + syms.map(ss => 32L + ss.map(depth).sum).sum
+  }
 }

@@ -1,127 +1,98 @@
 package repro.index
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
-import scala.util.Random
+import repro.core.ReferenceIndexBits
 
 class BitsSpec extends AnyFunSuite {
 
-  test("BitWriter/BitReader round-trip fixed patterns") {
-    val w = new BitWriter
-    w.write(0x5L, 3)
-    w.write(0x0L, 2)
-    w.write(0xffL, 8)
-    w.write(1L, 1)
-    val r = new BitReader(w.toBytes)
-    assert(r.read(3) == 0x5L)
-    assert(r.read(2) == 0x0L)
-    assert(r.read(8) == 0xffL)
-    assert(r.read(1) == 1L)
-    assert(w.lengthBits == 14)
+  /** One posting per id, so each id is one first-id symbol. */
+  private def singletons(ids: Seq[Int]): Seq[Array[Int]] = ids.map(Array(_))
+
+  test("indexBits equals the Huffman tree reference for any postings and rectangles") {
+    // Ids near 0 repeat gaps; ids near the Int range's ends wrap them.
+    val id = Gen.frequency(4 -> Gen.choose(0, 20), 3 -> Gen.choose(-50, 50),
+      2 -> Gen.oneOf(Int.MinValue, Int.MinValue + 1, -1, 0, Int.MaxValue), 1 -> Gen.choose(Int.MinValue, Int.MaxValue))
+    val posting = Gen.listOf(id).map(_.sorted.toArray)
+    // Every id k·g of a posting is one symbol g, wrapped or not: a
+    // one-symbol alphabet, padded with empty postings.
+    val oneSymbol = for {
+      g <- Gen.oneOf(Gen.choose(-5, 5), Gen.const(Int.MinValue))
+      lens <- Gen.nonEmptyListOf(Gen.choose(0, 6))
+    } yield lens.map(n => Array.tabulate(n)(k => (k + 1) * g))
+    val postings = Gen.frequency(1 -> Gen.const(Nil), 2 -> Gen.nonEmptyListOf(Gen.const(Array.empty[Int])),
+      3 -> oneSymbol, 6 -> Gen.listOf(posting))
+    var noPostings, onlyEmpty, oneSym, negative, wrapped = 0
+    val rectsSeen = new Array[Int](4)
+    val cases = for (ps <- postings; rects <- Gen.choose(0, 3)) yield (ps, rects)
+    val prop = Prop.forAll(cases) { case (ps, rects) =>
+      val gaps = ps.flatMap(p => p.indices.map(i => if (i == 0) p(0).toLong else p(i).toLong - p(i - 1)))
+      if (ps.isEmpty) noPostings += 1
+      else if (gaps.isEmpty) onlyEmpty += 1
+      if (gaps.map(_.toInt).distinct.size == 1) oneSym += 1
+      if (gaps.exists(_ < 0)) negative += 1
+      if (gaps.exists(g => g != g.toInt && g.toInt == Int.MinValue)) wrapped += 1
+      if (rects >= 0 && rects <= 3) rectsSeen(rects) += 1
+      val got = IdCodec.indexBits(ps, rects)
+      val want = ReferenceIndexBits.indexBits(ps, rects)
+      (got == want) :| s"postings ${ps.map(_.mkString("[", ",", "]"))}, $rects rects: got $got, want $want"
+    }
+    val r = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000).withInitialSeed(20261022L), prop)
+    assert(r.passed, Pretty.pretty(r))
+    assert(noPostings > 0 && onlyEmpty > 0 && oneSym > 0 && negative > 0 && wrapped > 0 && rectsSeen.forall(_ > 0),
+      s"none=$noPostings onlyEmpty=$onlyEmpty oneSymbol=$oneSym negative=$negative wrapped=$wrapped " +
+        s"rects=${rectsSeen.mkString(",")}")
   }
 
-  for (seed <- 0 until 10)
-    test(s"BitWriter/BitReader round-trip random widths (seed=$seed)") {
-      val rng = new Random(seed)
-      val items = Seq.fill(200) {
-        val n = 1 + rng.nextInt(63)
-        val v = rng.nextLong() & ((1L << n) - 1)
-        (v, n)
-      }
-      val w = new BitWriter
-      items.foreach { case (v, n) => w.write(v, n) }
-      val r = new BitReader(w.toBytes)
-      items.foreach { case (v, n) => assert(r.read(n) == v) }
-    }
+  test("indexBits codes a posting as its first id and its gaps") {
+    // symbols 3, 4, 1, 12: four 2-bit codes, 40 table bits each, one header
+    assert(IdCodec.indexBits(Seq(Array(3, 7, 8, 20)), rects = 0) == 4 * 40 + 32 + 8)
+    assert(IdCodec.indexBits(Seq(Array(3, 7, 8, 20)), 0) - 32 == IdCodec.indexBits(singletons(Seq(3, 4, 1, 12)), 0) - 4 * 32)
+  }
 
-  test("Huffman: single symbol alphabet gets a 1-bit code") {
-    val t = Huffman.build(Map(7 -> 100L))
-    assert(t.codeOf(7)._2 == 1)
-    val w = new BitWriter
-    (1 to 5).foreach(_ => Huffman.encodeSym(w, t, 7))
-    val r = new BitReader(w.toBytes)
-    (1 to 5).foreach(_ => assert(Huffman.decodeSym(r, t) == 7))
+  test("indexBits charges the textbook Huffman cost for weights 5, 9, 12, 13, 16 and 45") {
+    val ids = Seq(1 -> 5, 2 -> 9, 3 -> 12, 4 -> 13, 5 -> 16, 6 -> 45).flatMap { case (s, n) => Seq.fill(n)(s) }
+    assert(IdCodec.indexBits(singletons(ids), rects = 0) == 6 * 40 + 100 * 32 + 224)
   }
 
   test("Huffman: frequent symbols get codes no longer than rare ones") {
-    val t = Huffman.build(Map(1 -> 1000L, 2 -> 10L, 3 -> 1L))
-    assert(t.codeOf(1)._2 <= t.codeOf(2)._2)
-    assert(t.codeOf(2)._2 <= t.codeOf(3)._2)
+    // 1000 × 1 bit + 10 × 2 bits + 1 × 2 bits
+    val ids = Seq.fill(1000)(1) ++ Seq.fill(10)(2) :+ 3
+    assert(IdCodec.indexBits(singletons(ids), rects = 0) == 3 * 40 + 1011 * 32 + 1022)
   }
 
-  test("Huffman codes are prefix-free") {
-    val t = Huffman.build(Map(1 -> 5L, 2 -> 9L, 3 -> 12L, 4 -> 13L, 5 -> 16L, 6 -> 45L))
-    val codes = t.codeOf.values.toSeq
-    for (Seq((b1, l1), (b2, l2)) <- codes.combinations(2)) {
-      val (sb, sl, lb, ll) = if (l1 <= l2) (b1, l1, b2, l2) else (b2, l2, b1, l1)
-      // short code must not be a prefix of the long one (LSB-first layout)
-      assert(sl == ll || (lb & ((1L << sl) - 1)) != sb)
-    }
-  }
-
-  for (seed <- 20 until 30)
-    test(s"Huffman round-trips random symbol streams (seed=$seed)") {
-      val rng = new Random(seed)
-      val alphabet = (0 until (2 + rng.nextInt(40))).toArray
-      val freq = alphabet.map(s => s -> (1L + rng.nextInt(100))).toMap
-      val t = Huffman.build(freq)
-      val syms = Seq.fill(500)(alphabet(rng.nextInt(alphabet.length)))
-      val w = new BitWriter
-      syms.foreach(Huffman.encodeSym(w, t, _))
-      val r = new BitReader(w.toBytes)
-      syms.foreach(s => assert(Huffman.decodeSym(r, t) == s))
-    }
-
-  test("gapSymbols delta-encodes sorted ids") {
-    assert(IdCodec.gapSymbols(Array(3, 7, 8, 20)).toSeq == Seq(3, 4, 1, 12))
-    assert(IdCodec.gapSymbols(Array.empty).isEmpty)
-    assert(IdCodec.gapSymbols(Array(5)).toSeq == Seq(5))
-  }
-
-  for (seed <- 40 until 50)
-    test(s"IdCodec round-trips random posting lists (seed=$seed)") {
-      val rng = new Random(seed)
-      val postings = Seq.fill(20)(
-        Seq.fill(1 + rng.nextInt(50))(rng.nextInt(10000)).distinct.sorted.toArray)
-      val table = IdCodec.buildTable(postings)
-      for (p <- postings) {
-        val e = IdCodec.encode(p, table)
-        assert(IdCodec.decode(e, table).toSeq == p.toSeq)
-        assert(e.bitLen > 0 || p.isEmpty)
-      }
-    }
-
-  test("delta+Huffman compresses dense consecutive id lists well") {
-    val ids = (100 until 600).toArray // gaps are all 1
-    val table = IdCodec.buildTable(Seq(ids))
-    val e = IdCodec.encode(ids, table)
-    // ~1–2 bits per gap beats 32-bit raw ids by a wide margin
-    assert(e.bitLen < ids.length.toLong * 8, s"bits=${e.bitLen}")
-  }
-
-  test("IdCodec round-trips postings whose gap symbols include Int.MinValue") {
-    // -1 then Int.MaxValue: the gap wraps to Int.MinValue
-    val postings = Seq(Array(-1, Int.MaxValue), Array(Int.MinValue, 0, 5), Array(3, 4))
-    val table = IdCodec.buildTable(postings)
-    assert(table.codeOf.contains(Int.MinValue))
-    for (p <- postings) assert(IdCodec.decode(IdCodec.encode(p, table), table).toSeq == p.toSeq)
-    assert(IdCodec.indexBits(postings, rects = 2) > 0)
+  test("Huffman: single symbol alphabet gets a 1-bit code") {
+    assert(IdCodec.indexBits(singletons(Seq.fill(5)(7)), rects = 0) == 40 + 5 * 32 + 5)
+    // one posting of ids 1..100: the first id and every gap are the symbol 1
+    assert(IdCodec.indexBits(Seq((1 to 100).toArray), rects = 1) == 40 + 32 + 100 + 256)
   }
 
   test("Huffman: a one-symbol Int.MinValue alphabet gets a 1-bit code") {
-    val t = Huffman.build(Map(Int.MinValue -> 3L))
-    assert(t.codeOf == Map(Int.MinValue -> ((0L, 1))))
-    val w = new BitWriter
-    (1 to 3).foreach(_ => Huffman.encodeSym(w, t, Int.MinValue))
-    val r = new BitReader(w.toBytes)
-    (1 to 3).foreach(_ => assert(Huffman.decodeSym(r, t) == Int.MinValue))
-    val posting = Array(Int.MinValue)
-    val table = IdCodec.buildTable(Seq(posting))
-    assert(IdCodec.decode(IdCodec.encode(posting, table), table).toSeq == posting.toSeq)
+    assert(IdCodec.indexBits(Seq(Array(Int.MinValue)), rects = 0) == 40 + 32 + 1)
+    // Int.MinValue, then 0 - Int.MinValue, which wraps to Int.MinValue
+    assert(IdCodec.indexBits(Seq(Array(Int.MinValue, 0)), rects = 0) == 40 + 32 + 2)
+  }
+
+  test("indexBits sizes postings whose gap symbols include Int.MinValue") {
+    // -1 then Int.MaxValue: the gap wraps to Int.MinValue, which occurs 3
+    // times; -1, 5, 3 and 1 once each: merges 2 + 2 + 4 + 7 = 15 bits
+    val postings = Seq(Array(-1, Int.MaxValue), Array(Int.MinValue, 0, 5), Array(3, 4))
+    assert(IdCodec.indexBits(postings, rects = 2) == 5 * 40 + 3 * 32 + 2 * 256 + 15)
+  }
+
+  test("delta+Huffman compresses dense consecutive id lists well") {
+    val ids = (100 until 600).toArray // the symbol 100, then 499 gaps of 1
+    val bits = IdCodec.indexBits(Seq(ids), rects = 0)
+    assert(bits == 2 * 40 + 32 + 500)
+    // about 1 bit per id beats 32-bit raw ids by a wide margin
+    assert(bits < ids.length.toLong * 8, s"bits=$bits")
   }
 
   test("IdCodec on empty posting") {
-    val table = IdCodec.buildTable(Seq(Array(1, 2)))
-    val e = IdCodec.encode(Array.empty, table)
-    assert(e.count == 0 && IdCodec.decode(e, table).isEmpty)
+    assert(IdCodec.indexBits(Nil, rects = 3) == 3 * 256)            // rectangles alone
+    assert(IdCodec.indexBits(Seq(Array.empty[Int]), rects = 0) == 40 + 32) // a table of one symbol
+    assert(IdCodec.indexBits(Seq(Array(1, 2), Array.empty[Int]), rects = 0) == 40 + 2 * 32 + 2)
   }
 }
