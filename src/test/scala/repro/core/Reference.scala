@@ -533,7 +533,7 @@ final class ReferenceDiskLayout[K](val pageBytes: Int) {
   * id codec built: leaves in symbol order, the two lightest nodes merged
   * first with ties to the older node, a zero-weight pad beside a lone symbol,
   * and symbol 0 in the table of an index with no symbols. Each symbol
-  * costs its depth. */
+  * costs the length of its code. */
 object ReferenceIndexBits {
   def indexBits(postings: Iterable[Array[Int]], rects: Int): Long = {
     val rectBits = rects.toLong * 4 * 64
@@ -541,19 +541,27 @@ object ReferenceIndexBits {
     val syms = postings.toSeq.map(p => p.indices.map(i => if (i == 0) p(0) else p(i) - p(i - 1)))
     val freq = syms.flatten.groupMapReduce(identity)(_ => 1L)(_ + _)
     val table = if (freq.isEmpty) Map(0 -> 1L) else freq
+    val code = codes(table)
+    table.size * 40L + rectBits + syms.map(ss => 32L + ss.map(code(_).length).sum).sum
+  }
+
+  /** The code of each symbol of `table` (symbol -> weight) in that tree, as
+    * '0' and '1' characters, root first. */
+  def codes(table: Map[Int, Long]): Map[Int, String] = {
     // A node is (weight, creation order, the symbols below it).
     val nodes = mutable.PriorityQueue.empty[(Long, Int, Seq[Int])](
       Ordering.by[(Long, Int, Seq[Int]), (Long, Int)](n => (n._1, n._2)).reverse)
     for ((s, w) <- table.toSeq.sortBy(_._1)) nodes += ((w, nodes.size, Seq(s)))
     if (nodes.size == 1) nodes += ((0L, 1, Seq.empty))
-    val depth = mutable.HashMap.empty[Int, Int].withDefaultValue(0)
+    val code = mutable.HashMap.empty[Int, String].withDefaultValue("")
     var order = nodes.size
     while (nodes.size > 1) {
       val (wa, _, a) = nodes.dequeue()
       val (wb, _, b) = nodes.dequeue()
-      (a ++ b).foreach(s => depth(s) += 1)
+      a.foreach(s => code(s) = "0" + code(s))
+      b.foreach(s => code(s) = "1" + code(s))
       nodes += ((wa + wb, order, a ++ b)); order += 1
     }
-    table.size * 40L + rectBits + syms.map(ss => 32L + ss.map(depth).sum).sum
+    table.keys.map(s => s -> code(s)).toMap
   }
 }

@@ -5,11 +5,25 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.ReferenceIndexBits
+import scala.util.Random
 
 class BitsSpec extends AnyFunSuite {
 
   /** One posting per id, so each id is one first-id symbol. */
   private def singletons(ids: Seq[Int]): Seq[Array[Int]] = ids.map(Array(_))
+
+  /** The symbols indexBits counts for one posting: the first id, then gaps. */
+  private def gapSymbols(p: Array[Int]): Seq[Int] = p.indices.map(i => if (i == 0) p(0) else p(i) - p(i - 1))
+
+  /** Reads `bits` back as symbols of the prefix-free `code`. */
+  private def decode(bits: String, code: Map[Int, String]): Seq[Int] = {
+    val symOf = code.map(_.swap)
+    val out = Seq.newBuilder[Int]
+    var from = 0
+    for (to <- 1 to bits.length) symOf.get(bits.substring(from, to)).foreach { s => out += s; from = to }
+    assert(from == bits.length, s"${bits.length - from} trailing bits")
+    out.result()
+  }
 
   test("indexBits equals the Huffman tree reference for any postings and rectangles") {
     // Ids near 0 repeat gaps; ids near the Int range's ends wrap them.
@@ -56,6 +70,47 @@ class BitsSpec extends AnyFunSuite {
     val ids = Seq(1 -> 5, 2 -> 9, 3 -> 12, 4 -> 13, 5 -> 16, 6 -> 45).flatMap { case (s, n) => Seq.fill(n)(s) }
     assert(IdCodec.indexBits(singletons(ids), rects = 0) == 6 * 40 + 100 * 32 + 224)
   }
+
+  test("Huffman codes are prefix-free") {
+    val weights = Map(1 -> 5L, 2 -> 9L, 3 -> 12L, 4 -> 13L, 5 -> 16L, 6 -> 45L)
+    val code = ReferenceIndexBits.codes(weights)
+    for (Seq(a, b) <- code.values.toSeq.combinations(2))
+      assert(!a.startsWith(b) && !b.startsWith(a), s"$a and $b")
+    // indexBits charges each symbol the length of its code
+    val ids = weights.toSeq.flatMap { case (s, n) => Seq.fill(n.toInt)(s) }
+    val codeBits = weights.map { case (s, n) => n * code(s).length }.sum
+    assert(IdCodec.indexBits(singletons(ids), rects = 0) == 6 * 40 + 100 * 32 + codeBits)
+  }
+
+  for (seed <- 20 until 30)
+    test(s"Huffman round-trips random symbol streams (seed=$seed)") {
+      val rng = new Random(seed)
+      val alphabet = (0 until (2 + rng.nextInt(40))).toArray
+      val syms = Seq.fill(500)(alphabet(rng.nextInt(alphabet.length)))
+      val freq = syms.groupMapReduce(identity)(_ => 1L)(_ + _)
+      val code = ReferenceIndexBits.codes(freq)
+      val bits = syms.map(code).mkString
+      assert(decode(bits, code) == syms)
+      // one singleton posting per symbol: the stream's bits plus headers
+      assert(IdCodec.indexBits(singletons(syms), rects = 0) == freq.size * 40L + 500 * 32 + bits.length)
+    }
+
+  for (seed <- 40 until 50)
+    test(s"IdCodec round-trips random posting lists (seed=$seed)") {
+      val rng = new Random(seed)
+      val postings = Seq.fill(20)(
+        Seq.fill(1 + rng.nextInt(50))(rng.nextInt(10000)).distinct.sorted.toArray)
+      val freq = postings.flatMap(gapSymbols).groupMapReduce(identity)(_ => 1L)(_ + _)
+      val code = ReferenceIndexBits.codes(freq)
+      var codeBits = 0L
+      for (p <- postings) {
+        val bits = gapSymbols(p).map(code).mkString
+        assert(bits.nonEmpty)
+        assert(decode(bits, code).scanLeft(0)(_ + _).tail == p.toSeq)
+        codeBits += bits.length
+      }
+      assert(IdCodec.indexBits(postings, rects = 0) == freq.size * 40L + 20 * 32 + codeBits)
+    }
 
   test("Huffman: frequent symbols get codes no longer than rare ones") {
     // 1000 × 1 bit + 10 × 2 bits + 1 × 2 bits
